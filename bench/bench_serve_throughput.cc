@@ -609,13 +609,15 @@ int main(int argc, char** argv) {
       serve_thread.join();
     }
   }
-  // Tracing tax: the same one-shot cell workload against an untraced
-  // listener (trace ring disabled) and a fully traced one (ring +
-  // per-span histograms + JSONL access log to /dev/null), best of seven
-  // interleaved repetitions each. The traced row is hard-gated in-bench
-  // at <= 1.25x the untraced per-query time so a tracing-cost
-  // regression fails this binary directly, before
-  // tools/bench_compare.py ever sees a baseline for the new rows.
+  // Trace-ring tax: the same one-shot cell workload against a listener
+  // without the /tracez ring and one with the ring plus a JSONL access
+  // log to /dev/null, best of seven interleaved repetitions each. Both
+  // legs stamp spans and record every latency metric (the published
+  // trace is the only clock), so the "untraced"/"traced" rows measure
+  // the ring and the log line only. The traced row is hard-gated
+  // in-bench at <= 1.25x the untraced per-query time so a regression
+  // there fails this binary directly, before tools/bench_compare.py
+  // ever sees a baseline for the new rows.
   {
     struct Leg {
       double seconds_per_query = 0.0;
@@ -638,10 +640,9 @@ int main(int argc, char** argv) {
       options.admission.max_queue_depth = 4096;
       options.trace_ring_capacity = traced ? 256 : 0;
       if (traced) {
-        // Everything the traced path can cost: span stamping, ring
-        // publication, metric recording, and a formatted access-log
-        // line per request (sunk into /dev/null so only the formatting
-        // and buffered write are measured).
+        // What the traced leg adds: ring publication and a formatted
+        // access-log line per request (sunk into /dev/null so only the
+        // formatting and buffered write are measured).
         options.access_log_path = "/dev/null";
         options.slow_query_ms = 1000;
       }
@@ -720,7 +721,7 @@ int main(int argc, char** argv) {
     // percentages over the seconds a leg takes, and back-to-back leg
     // blocks turn that drift straight into a phantom overhead (or a
     // phantom speedup). Each rep pair runs under near-identical host
-    // conditions, so its traced/untraced ratio isolates tracing; the
+    // conditions, so its traced/untraced ratio isolates the ring; the
     // gate takes the median of the per-pair ratios, which a single
     // noisy rep cannot move. Within a pair the order alternates across
     // reps — a monotone host slowdown would otherwise bias every pair

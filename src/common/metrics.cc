@@ -51,8 +51,8 @@ double LatencyHistogram::BucketUpperEdgeMicros(int i) {
   return std::exp2(i + 1);
 }
 
-double LatencyHistogram::QuantileMicros(double p) const {
-  const std::array<std::uint64_t, kBuckets> snapshot = SnapshotBuckets();
+double LatencyHistogram::BucketQuantileMicros(
+    const std::array<std::uint64_t, kBuckets>& snapshot, double p) {
   std::uint64_t total = 0;
   for (const std::uint64_t c : snapshot) total += c;
   if (total == 0) return 0.0;

@@ -12,7 +12,7 @@
 //   * rendering may lock (it walks the registry under a mutex), because
 //     a scrape happens a few times a minute, not a million times a
 //     second;
-//   * collaborators that already own their counters (ServerStats,
+//   * collaborators that already own their counters (the
 //     AdmissionController, MarginalCache, ThreadPool) register
 //     callback-backed views instead of duplicating state, so the
 //     exported numbers can never drift from the STATS verb's.
@@ -85,7 +85,14 @@ class LatencyHistogram {
   ///     that would silently misreport multi-hour outliers;
   ///   * interior quantiles return the geometric midpoint of their
   ///     bucket, the standard log-bucket estimator.
-  double QuantileMicros(double p) const;
+  double QuantileMicros(double p) const {
+    return BucketQuantileMicros(SnapshotBuckets(), p);
+  }
+
+  /// The same estimator over raw bucket counts, e.g. a bucket-wise sum
+  /// of several histograms.
+  static double BucketQuantileMicros(
+      const std::array<std::uint64_t, kBuckets>& buckets, double p);
 
   /// Relaxed snapshot of the raw bucket counts (index i covers
   /// [BucketLowerEdgeMicros(i), BucketUpperEdgeMicros(i))).
@@ -166,7 +173,7 @@ class Registry {
                                const std::string& help,
                                std::function<double()> read);
 
-  /// Externally-owned histogram (e.g. ServerStats' members). `keepalive`
+  /// Externally-owned histogram (e.g. DurableState's). `keepalive`
   /// guards the histogram's lifetime: pass an aliasing shared_ptr to the
   /// owning object.
   void RegisterExternalHistogram(

@@ -2,8 +2,13 @@
 
 #include "common/rng.h"
 
+#include <errno.h>
+#include <sys/random.h>
+
 #include <cassert>
 #include <cmath>
+#include <cstring>
+#include <string>
 
 namespace dpcube {
 namespace {
@@ -20,6 +25,19 @@ inline std::uint64_t SplitMix64(std::uint64_t* state) {
 }
 
 }  // namespace
+
+Result<std::uint64_t> OsRandomSeed() {
+  std::uint64_t seed = 0;
+  ssize_t n = 0;
+  do {
+    n = ::getrandom(&seed, sizeof(seed), 0);
+  } while (n < 0 && errno == EINTR);
+  if (n != static_cast<ssize_t>(sizeof(seed))) {
+    return Status::Unavailable(std::string("getrandom: ") +
+                               (n < 0 ? std::strerror(errno) : "short read"));
+  }
+  return seed;
+}
 
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t sm = seed;

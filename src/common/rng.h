@@ -1,8 +1,9 @@
 // Copyright 2026 The dpcube Authors.
 //
 // Deterministic random number generation. All randomized components in the
-// library (mechanisms, synthetic data generators, sketch strategies) take an
-// explicit Rng so experiments are reproducible from a single seed.
+// library (mechanisms, synthetic data generators, strategies) take an
+// explicit Rng so experiments are reproducible from a single seed. A
+// release whose noise must stay secret seeds it from OsRandomSeed().
 //
 // The engine is xoshiro256++ seeded through SplitMix64, a standard choice
 // for simulation workloads: fast, high quality, and stable across platforms
@@ -13,7 +14,14 @@
 
 #include <cstdint>
 
+#include "common/status.h"
+
 namespace dpcube {
+
+/// 64 bits from the kernel's entropy source (getrandom(2)): the seed for
+/// noise nobody must be able to regenerate. Fails closed (an error, not a
+/// weak seed) if the kernel cannot supply them.
+Result<std::uint64_t> OsRandomSeed();
 
 /// xoshiro256++ pseudo-random generator with distribution samplers.
 class Rng {

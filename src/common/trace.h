@@ -4,16 +4,20 @@
 // that enters the TCP front end carries a RequestTrace through its
 // lifetime — decode, admission, pool queue, compute, encode, flush —
 // and, once the last response byte reaches the socket, the completed
-// trace is recorded into a fixed-capacity ring (every request), a
-// keep-slowest reservoir (the worst offenders survive ring wrap), the
-// per-span latency histograms of the metrics registry, and optionally a
-// structured access log. The /tracez page renders the ring.
+// trace is the request's one clock: it alone feeds the span, per-verb
+// and per-release latency histograms of the metrics registry, the
+// optional structured access log, and — unless its capacity is 0 — a
+// fixed-capacity ring (every request) with a keep-slowest reservoir
+// (the worst offenders survive ring wrap). The /tracez page renders the
+// ring.
 //
 // Concurrency contract (this is what the TSan matrix holds us to):
 //   * one trace is only ever written by one thread at a time — the
-//     network thread fills decode/admit/flush, the pool worker fills
-//     queue/compute/encode, and the hand-offs ride the connection's
-//     existing slot mutex, so the struct itself needs no atomics;
+//     pool worker's session adds up the encode span and the frame's
+//     identity, the network thread turns the frame's clock readings
+//     into spans once the last byte is flushed, and the hand-off rides
+//     the connection's existing slot mutex, so the struct itself needs
+//     no atomics;
 //   * TraceRing::Record is called concurrently from every poller
 //     thread. Slots are claimed by an atomic ticket and the payload
 //     copy is guarded by a per-slot mutex (traces carry strings, so a
@@ -50,7 +54,7 @@ enum class Span : std::uint8_t {
   kQueue,       ///< Admitted to first worker instruction.
   kCompute,     ///< Verb execution (per-verb work, batch fan-out).
   kEncode,      ///< Response encoding under the negotiated codec.
-  kFlush,       ///< Response enqueued to last byte written.
+  kFlush,       ///< Response ready to last byte written.
 };
 inline constexpr int kNumSpans = 6;
 
@@ -81,6 +85,10 @@ struct RequestTrace {
   std::uint64_t response_bytes = 0;  ///< Encoded response payload bytes.
 
   std::array<std::uint64_t, kNumSpans> span_micros{};
+  /// Bit s is set iff the frame passed through span s (set_span marks
+  /// it): a shed frame never queues or computes, and a 0 us span the
+  /// frame did pass through is still a sample.
+  std::uint8_t span_mask = 0;
   std::uint64_t total_micros = 0;  ///< Decode start to flush complete.
 
   std::uint32_t batch_queries = 0;  ///< Sub-queries (batch frames).
@@ -91,8 +99,13 @@ struct RequestTrace {
   std::uint64_t span(Span s) const {
     return span_micros[static_cast<std::size_t>(s)];
   }
+  bool has_span(Span s) const {
+    return (span_mask & (1u << static_cast<unsigned>(s))) != 0;
+  }
   void set_span(Span s, std::uint64_t micros) {
     span_micros[static_cast<std::size_t>(s)] = micros;
+    span_mask = static_cast<std::uint8_t>(
+        span_mask | (1u << static_cast<unsigned>(s)));
   }
 };
 

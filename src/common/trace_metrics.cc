@@ -19,9 +19,19 @@ std::string EscapeLabelValue(const std::string& value) {
   return out;
 }
 
-ServingTraceMetrics::ServingTraceMetrics(metrics::Registry* registry,
-                                         std::size_t max_releases)
-    : registry_(registry), max_releases_(max_releases) {
+ServingTraceMetrics::ServingTraceMetrics(
+    metrics::Registry* registry, const std::vector<std::string>& verbs,
+    std::size_t max_releases)
+    : frames_received(registry->GetCounter(
+          "dpcube_frames_received_total", "",
+          "Protocol frames received, including shed ones.")),
+      frames_executed(registry->GetCounter(
+          "dpcube_frames_executed_total", "",
+          "Protocol frames that reached a session.")),
+      responses(registry->GetCounter("dpcube_responses_total", "",
+                                     "Response frames enqueued for write.")),
+      registry_(registry),
+      max_releases_(max_releases) {
   for (int i = 0; i < kNumSpans; ++i) {
     const Span span = static_cast<Span>(i);
     spans_[static_cast<std::size_t>(i)] = registry_->GetHistogram(
@@ -30,15 +40,50 @@ ServingTraceMetrics::ServingTraceMetrics(metrics::Registry* registry,
         "Request time by pipeline span: decode, admit, queue, compute, "
         "encode, flush.");
   }
+  for (const std::string& verb : verbs) {
+    verbs_.emplace_back(
+        verb, registry_->GetHistogram(
+                  "dpcube_request_latency_microseconds",
+                  "verb=\"" + EscapeLabelValue(verb) + "\"",
+                  "Frame latency from decode to last byte flushed (the "
+                  "trace's total_us), by the frame's first verb."));
+  }
 }
 
-void ServingTraceMetrics::RecordSpans(const RequestTrace& trace) const {
+void ServingTraceMetrics::Record(const RequestTrace& trace) const {
   for (int i = 0; i < kNumSpans; ++i) {
-    const std::uint64_t micros = trace.span_micros[static_cast<std::size_t>(i)];
-    if (micros == 0) continue;
-    spans_[static_cast<std::size_t>(i)]->Record(
-        static_cast<double>(micros) * 1e-6);
+    const Span span = static_cast<Span>(i);
+    if (trace.has_span(span)) {
+      spans_[static_cast<std::size_t>(i)]->Record(
+          static_cast<double>(trace.span(span)) * 1e-6);
+    }
   }
+  for (const auto& verb : verbs_) {
+    if (verb.first == trace.verb) {
+      verb.second->Record(static_cast<double>(trace.total_micros) * 1e-6);
+      break;
+    }
+  }
+  // The same rule the session counts dpcube_release_queries_total by:
+  // unknown releases never mint series (the name came off the wire) and
+  // quota denials never reached the release. Batch frames record their
+  // groups' BatchTiming instead (see ServeSession::HandleBatch).
+  if (trace.verb == "query" && !trace.release.empty() &&
+      trace.outcome != "NotFound" && trace.outcome != "QuotaExceeded") {
+    Release(trace.release)
+        .latency->Record(
+            static_cast<double>(trace.span(Span::kCompute)) * 1e-6);
+  }
+}
+
+std::array<std::uint64_t, metrics::LatencyHistogram::kBuckets>
+ServingTraceMetrics::RequestLatencyBuckets() const {
+  std::array<std::uint64_t, metrics::LatencyHistogram::kBuckets> sum{};
+  for (const auto& verb : verbs_) {
+    const auto buckets = verb.second->SnapshotBuckets();
+    for (std::size_t i = 0; i < sum.size(); ++i) sum[i] += buckets[i];
+  }
+  return sum;
 }
 
 ServingTraceMetrics::PerRelease ServingTraceMetrics::ResolveLocked(
@@ -52,7 +97,8 @@ ServingTraceMetrics::PerRelease ServingTraceMetrics::ResolveLocked(
       "on release=\"__other__\").");
   series.latency = registry_->GetHistogram(
       "dpcube_release_query_latency_microseconds", labels,
-      "Per-query (and per batch-group) compute latency, by release.");
+      "Compute span of each query frame (and each batch group), by "
+      "release.");
   return series;
 }
 

@@ -7,6 +7,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <sstream>
 #include <utility>
 
@@ -19,11 +20,6 @@ namespace {
 // without bound; past this, the connection is dropped (standard
 // slow-consumer protection).
 constexpr std::size_t kMaxWriteBufferBytes = std::size_t{16} << 20;
-
-double SecondsSince(std::chrono::steady_clock::time_point start,
-                    std::chrono::steady_clock::time_point end) {
-  return std::chrono::duration<double>(end - start).count();
-}
 
 std::uint64_t MicrosSince(std::chrono::steady_clock::time_point start,
                           std::chrono::steady_clock::time_point end) {
@@ -38,7 +34,6 @@ std::uint64_t MicrosSince(std::chrono::steady_clock::time_point start,
 Connection::Connection(UniqueFd fd, std::uint64_t id,
                        const ServeContext& context,
                        std::shared_ptr<AdmissionController> admission,
-                       std::shared_ptr<ServerStats> stats,
                        std::function<void()> wakeup,
                        std::size_t max_frame_payload,
                        std::shared_ptr<LingerSet> linger)
@@ -46,14 +41,12 @@ Connection::Connection(UniqueFd fd, std::uint64_t id,
       fd_(std::move(fd)),
       context_(context),
       admission_(std::move(admission)),
-      stats_(std::move(stats)),
       wakeup_(std::move(wakeup)),
       linger_(std::move(linger)),
       session_(context.store, context.cache, context.service,
                context.executor.get()),
-      decoder_(max_frame_payload),
-      traced_(context.trace_ring != nullptr) {
-  if (context_.trace_metrics) session_.SetTraceMetrics(context_.trace_metrics);
+      decoder_(max_frame_payload) {
+  session_.SetTraceMetrics(context_.trace_metrics);
 }
 
 Connection::~Connection() {
@@ -92,7 +85,7 @@ short Connection::PollEvents() const {
 
 void Connection::OnReadable() {
   if (dead_ || draining_ || read_eof_) return;
-  if (traced_) read_start_ = std::chrono::steady_clock::now();
+  read_start_ = Clock::now();
   char buf[64 * 1024];
   for (;;) {
     const ssize_t n = ::recv(fd_.get(), buf, sizeof(buf), 0);
@@ -134,29 +127,24 @@ void Connection::ProcessDecodedFrames() {
         goodbye->typed_pending = true;
         goodbye->typed = service::Response::Error(
             service::ErrorCode::kBadRequest, decoder_.error());
-        if (traced_) {
-          goodbye->trace.context.trace_id = trace::NextTraceId();
-          goodbye->trace.context.connection_id = id_;
-          goodbye->trace.verb = "(decode-error)";
-          goodbye->trace.span_micros[static_cast<std::size_t>(
-              trace::Span::kDecode)] =
-              MicrosSince(read_start_, std::chrono::steady_clock::now());
-        }
+        goodbye->trace.context.trace_id = trace::NextTraceId();
+        goodbye->trace.context.connection_id = id_;
+        goodbye->trace.verb = "(decode-error)";
+        goodbye->clock.read = read_start_;
+        goodbye->clock.decoded = Clock::now();
+        goodbye->clock.ready = goodbye->clock.decoded;
         sync::MutexLock lock(&mu_);
         slots_.push_back(std::move(goodbye));
       }
       return;
     }
-    stats_->requests.fetch_add(1, std::memory_order_relaxed);
+    context_.trace_metrics->frames_received->Increment();
     auto slot = std::make_shared<Slot>();
-    slot->arrival = std::chrono::steady_clock::now();
-    if (traced_) {
-      slot->trace.context.trace_id = trace::NextTraceId();
-      slot->trace.context.connection_id = id_;
-      slot->trace.request_bytes = payload.size();
-      slot->trace.span_micros[static_cast<std::size_t>(
-          trace::Span::kDecode)] = MicrosSince(read_start_, slot->arrival);
-    }
+    slot->clock.read = read_start_;
+    slot->clock.decoded = Clock::now();
+    slot->trace.context.trace_id = trace::NextTraceId();
+    slot->trace.context.connection_id = id_;
+    slot->trace.request_bytes = payload.size();
     std::string busy_reason;
     int inflight = 0;
     {
@@ -164,15 +152,13 @@ void Connection::ProcessDecodedFrames() {
       inflight = admitted_inflight_;
     }
     const bool admitted = admission_->TryAdmitRequest(inflight, &busy_reason);
-    if (traced_) {
-      slot->trace.span_micros[static_cast<std::size_t>(trace::Span::kAdmit)] =
-          MicrosSince(slot->arrival, std::chrono::steady_clock::now());
-    }
+    slot->clock.admitted = Clock::now();
     if (!admitted) {
       slot->done = true;
       slot->typed_pending = true;
       slot->typed = service::Response::Busy(std::move(busy_reason));
-      if (traced_) slot->trace.verb = "(shed)";
+      slot->trace.verb = "(shed)";
+      slot->clock.ready = slot->clock.admitted;
     } else {
       slot->admitted = true;
       slot->request = std::move(payload);
@@ -208,21 +194,13 @@ void Connection::MaybeDispatch() {
 }
 
 void Connection::Execute(const std::shared_ptr<Slot>& slot) {
-  const auto exec_start = std::chrono::steady_clock::now();
-  if (traced_) {
-    slot->trace.span_micros[static_cast<std::size_t>(trace::Span::kQueue)] =
-        MicrosSince(slot->arrival, exec_start);
-  }
+  slot->clock.exec_start = Clock::now();
   std::istringstream in(slot->request);
   std::ostringstream out;
   const bool keep_going = session_.ProcessStream(
-      in, out, /*flush_each=*/false, traced_ ? &slot->trace : nullptr);
-  const auto exec_end = std::chrono::steady_clock::now();
-
-  stats_->frames_executed.fetch_add(1, std::memory_order_relaxed);
-  stats_->queue_latency.Record(SecondsSince(slot->arrival, exec_start));
-  stats_->exec_latency.Record(SecondsSince(exec_start, exec_end));
-  stats_->total_latency.Record(SecondsSince(slot->arrival, exec_end));
+      in, out, /*flush_each=*/false, &slot->trace);
+  slot->clock.ready = Clock::now();
+  context_.trace_metrics->frames_executed->Increment();
 
   {
     sync::MutexLock lock(&mu_);
@@ -251,8 +229,7 @@ void Connection::EnqueueResponseFrame(Slot& slot) {
           : slot.response;
   const std::size_t before = write_buffer_.size();
   write_buffer_ += EncodeFrame(payload);
-  stats_->responses.fetch_add(1, std::memory_order_relaxed);
-  if (!traced_) return;
+  context_.trace_metrics->responses->Increment();
   trace::RequestTrace& t = slot.trace;
   t.response_bytes = payload.size();
   t.codec = service::CodecName(session_.codec());
@@ -262,11 +239,7 @@ void Connection::EnqueueResponseFrame(Slot& slot) {
                     : "Ok";
   }
   bytes_enqueued_ += write_buffer_.size() - before;
-  PendingTrace pending;
-  pending.target_bytes = bytes_enqueued_;
-  pending.enqueued = std::chrono::steady_clock::now();
-  pending.trace = std::move(t);
-  pending_flush_.push_back(std::move(pending));
+  pending_flush_.push_back({bytes_enqueued_, slot.clock, std::move(t)});
 }
 
 void Connection::Pump() {
@@ -333,26 +306,49 @@ void Connection::OnWritable() {
 }
 
 void Connection::FinalizeFlushedTraces() {
-  if (!traced_ || dead_) return;
-  const auto now = std::chrono::steady_clock::now();
+  if (dead_ || pending_flush_.empty() ||
+      bytes_flushed_ < pending_flush_.front().target_bytes) {
+    return;
+  }
+  const auto flushed = Clock::now();
   while (!pending_flush_.empty() &&
          bytes_flushed_ >= pending_flush_.front().target_bytes) {
     PendingTrace& pending = pending_flush_.front();
-    pending.trace.span_micros[static_cast<std::size_t>(trace::Span::kFlush)] =
-        MicrosSince(pending.enqueued, now);
-    PublishTrace(pending.trace);
+    PublishTrace(pending.clock, flushed, pending.trace);
     pending_flush_.pop_front();
   }
 }
 
-void Connection::PublishTrace(trace::RequestTrace& finished) {
-  std::uint64_t total = 0;
-  for (const std::uint64_t micros : finished.span_micros) total += micros;
-  finished.total_micros = total;
+void Connection::PublishTrace(const FrameClock& clock,
+                              Clock::time_point flushed,
+                              trace::RequestTrace& finished) {
+  using trace::Span;
+  // Every boundary as whole microseconds since the read; each span is
+  // the difference of two of them, so the spans sum to total_micros
+  // exactly and truncation never accumulates across spans.
+  const auto at = [&clock](Clock::time_point t) {
+    return MicrosSince(clock.read, t);
+  };
+  finished.set_span(Span::kDecode, at(clock.decoded));
+  if (clock.admitted != Clock::time_point{}) {
+    finished.set_span(Span::kAdmit, at(clock.admitted) - at(clock.decoded));
+  }
+  if (clock.exec_start != Clock::time_point{}) {
+    finished.set_span(Span::kQueue,
+                      at(clock.exec_start) - at(clock.admitted));
+    // The session timed only its encoding; the rest of execution is
+    // compute. Typed (shed, goodbye) responses are encoded inside flush.
+    const std::uint64_t exec = at(clock.ready) - at(clock.exec_start);
+    const std::uint64_t encode = std::min(finished.span(Span::kEncode), exec);
+    finished.set_span(Span::kCompute, exec - encode);
+    finished.set_span(Span::kEncode, encode);
+  }
+  finished.set_span(Span::kFlush, at(flushed) - at(clock.ready));
+  finished.total_micros = at(flushed);
   finished.slow = context_.slow_query_micros > 0 &&
-                  total >= context_.slow_query_micros;
-  context_.trace_ring->Record(finished);
-  if (context_.trace_metrics) context_.trace_metrics->RecordSpans(finished);
+                  finished.total_micros >= context_.slow_query_micros;
+  context_.trace_metrics->Record(finished);
+  if (context_.trace_ring) context_.trace_ring->Record(finished);
   if (context_.access_log == nullptr) return;
   using logging::Field;
   context_.access_log->Log(

@@ -40,7 +40,6 @@
 #include "net/admission.h"
 #include "net/framing.h"
 #include "net/linger.h"
-#include "net/server_stats.h"
 #include "service/serve_protocol.h"
 
 namespace dpcube {
@@ -78,12 +77,13 @@ struct ServeContext {
   std::shared_ptr<const service::QueryService> service;
   std::shared_ptr<const service::BatchExecutor> executor;
   ThreadPool* pool = nullptr;
-  /// Request tracing (all optional). A non-null `trace_ring` switches
-  /// tracing on: every completed request then finalises a RequestTrace
-  /// into the ring, into the span/per-release metric families when
-  /// `trace_metrics` is set, and as one structured line to `access_log`
-  /// when that is set. `slow_query_micros` > 0 marks traces at or above
-  /// it as slow (reservoir candidates, WARN-level log lines).
+  /// Request tracing. Every completed request finalises a RequestTrace
+  /// into `trace_metrics` (required: the listener always sets it; it is
+  /// the only place serving latency and the frame counters are
+  /// recorded), into `trace_ring` when non-null, and as one structured
+  /// line to `access_log` when that is set. `slow_query_micros` > 0
+  /// marks traces at or above it as slow (reservoir candidates,
+  /// WARN-level log lines).
   std::shared_ptr<trace::TraceRing> trace_ring;
   std::shared_ptr<const trace::ServingTraceMetrics> trace_metrics;
   std::shared_ptr<logging::Logger> access_log;
@@ -105,7 +105,6 @@ class Connection : public std::enable_shared_from_this<Connection> {
   /// close.
   Connection(UniqueFd fd, std::uint64_t id, const ServeContext& context,
              std::shared_ptr<AdmissionController> admission,
-             std::shared_ptr<ServerStats> stats,
              std::function<void()> wakeup, std::size_t max_frame_payload,
              std::shared_ptr<LingerSet> linger = nullptr);
   ~Connection();
@@ -140,6 +139,20 @@ class Connection : public std::enable_shared_from_this<Connection> {
   service::ServeSession& session() { return session_; }
 
  private:
+  using Clock = std::chrono::steady_clock;
+
+  /// The frame's one clock: a steady_clock reading per pipeline
+  /// boundary, each taken exactly once. PublishTrace turns consecutive
+  /// readings into spans, so the spans partition `read`..flushed. A
+  /// default (epoch) reading marks a boundary the frame never crossed.
+  struct FrameClock {
+    Clock::time_point read;        ///< Socket readable (decode starts).
+    Clock::time_point decoded;     ///< Frame complete, or decode failed.
+    Clock::time_point admitted;    ///< Admission decided.
+    Clock::time_point exec_start;  ///< A worker picked the frame up.
+    Clock::time_point ready;       ///< Response available to send.
+  };
+
   struct Slot {
     std::string request;   ///< Cleared when handed to a worker.
     std::string response;  ///< Encoded payload, valid once done (unless
@@ -156,13 +169,13 @@ class Connection : public std::enable_shared_from_this<Connection> {
     bool done = false;
     bool dispatched = false;
     bool admitted = false;  ///< Shed slots never touched the executor.
-    std::chrono::steady_clock::time_point arrival;
-    /// Per-request trace (only filled when the context carries a trace
-    /// ring). Written by the network thread before dispatch (identity,
-    /// decode/admit spans) and by the worker during Execute (queue,
-    /// compute, encode); the network thread reads it back only after
+    /// The clock and the trace are written by the network thread before
+    /// dispatch (identity, read/decoded/admitted) and by the worker
+    /// during Execute (exec_start/ready, the session's encode span and
+    /// identity); the network thread reads them back only after
     /// observing `done` under mu_, so the hand-off needs no extra
     /// synchronisation.
+    FrameClock clock;
     trace::RequestTrace trace;
   };
 
@@ -179,8 +192,8 @@ class Connection : public std::enable_shared_from_this<Connection> {
   void Execute(const std::shared_ptr<Slot>& slot);
 
   /// Encodes `slot`'s response (typed or pre-encoded) and appends one
-  /// response frame to the write buffer; when tracing, stamps the
-  /// response identity and moves the trace onto the pending-flush queue.
+  /// response frame to the write buffer, stamps the response identity,
+  /// and moves the trace onto the pending-flush queue.
   /// Pump calls it while walking slots_, so it runs under mu_ even
   /// though the write buffer itself is network-thread-only.
   void EnqueueResponseFrame(Slot& slot) REQUIRES(mu_);
@@ -188,26 +201,23 @@ class Connection : public std::enable_shared_from_this<Connection> {
   /// Writes as much buffered output as the socket accepts.
   void FlushWrites();
 
-  /// Completes (flush span, total, slow flag) and publishes every
-  /// pending trace whose response bytes have fully left the socket.
-  /// Network thread only.
+  /// Publishes every pending trace whose response bytes have fully
+  /// left the socket. Network thread only.
   void FinalizeFlushedTraces();
 
-  /// Publishes one finished trace to the ring, the metric families, and
-  /// the access log.
-  void PublishTrace(trace::RequestTrace& finished);
+  /// Derives `finished`'s spans and total from `clock` and the flush
+  /// time, then records it: metrics, ring (if any), access log (if any).
+  void PublishTrace(const FrameClock& clock, Clock::time_point flushed,
+                    trace::RequestTrace& finished);
 
   const std::uint64_t id_;
   UniqueFd fd_;
   ServeContext context_;
   std::shared_ptr<AdmissionController> admission_;
-  std::shared_ptr<ServerStats> stats_;
   const std::function<void()> wakeup_;
   const std::shared_ptr<LingerSet> linger_;
   service::ServeSession session_;
   FrameDecoder decoder_;
-
-  const bool traced_;  ///< context_.trace_ring != nullptr, cached.
 
   // --- network-thread-only state ---
   std::string write_buffer_;
@@ -216,16 +226,16 @@ class Connection : public std::enable_shared_from_this<Connection> {
   bool draining_ = false;
   bool dead_ = false;        ///< Socket error; discard everything.
   bool sent_decode_error_ = false;
-  /// When the current OnReadable pass pulled its bytes off the socket;
-  /// frames decoded in that pass stamp their decode span against it.
-  std::chrono::steady_clock::time_point read_start_;
+  /// When the current OnReadable pass pulled its bytes off the socket:
+  /// the `read` reading of every frame decoded in that pass.
+  Clock::time_point read_start_;
   /// Traces whose response frames sit in the write buffer, FIFO. Each
-  /// finalises (flush span = enqueue -> last byte accepted by the
-  /// kernel) once `bytes_flushed_` reaches its cumulative byte target.
-  /// Dropped unpublished if the connection dies mid-flush.
+  /// publishes (flush span = ready -> last byte accepted by the kernel)
+  /// once `bytes_flushed_` reaches its cumulative byte target. Dropped
+  /// unpublished if the connection dies mid-flush.
   struct PendingTrace {
     std::uint64_t target_bytes = 0;
-    std::chrono::steady_clock::time_point enqueued;
+    FrameClock clock;
     trace::RequestTrace trace;
   };
   std::deque<PendingTrace> pending_flush_;

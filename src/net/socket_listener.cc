@@ -41,16 +41,23 @@ namespace {
 // One snapshot line, shaped like every other protocol response. Takes
 // its collaborators as shared_ptrs so the closure installed into
 // sessions can outlive the listener (a pool task may answer STATS while
-// the server is tearing down). `verbs` reads the SAME registry-owned
-// counters /metrics exports, so the two views can never disagree.
+// the server is tearing down). Every field reads the SAME registry-owned
+// series /metrics exports, so the two views can never disagree:
+// queue_us from span="queue", exec_us from span="compute", total_us
+// from the bucket-wise sum of the per-verb request latencies.
 std::string FormatStats(
     const std::shared_ptr<AdmissionController>& admission,
-    const std::shared_ptr<ServerStats>& stats,
+    const std::shared_ptr<const trace::ServingTraceMetrics>& frames,
     const std::shared_ptr<service::MarginalCache>& cache,
     const std::shared_ptr<service::ReleaseStore>& store,
     const std::shared_ptr<const service::SessionMetrics>& verbs) {
+  using metrics::LatencyHistogram;
   const service::CacheStats cs = cache->stats();
   const double lookups = static_cast<double>(cs.hits + cs.misses);
+  const LatencyHistogram& queue = *frames->span_histogram(trace::Span::kQueue);
+  const LatencyHistogram& exec =
+      *frames->span_histogram(trace::Span::kCompute);
+  const auto total = frames->RequestLatencyBuckets();
   char line[1024];
   int len = std::snprintf(
       line, sizeof(line),
@@ -64,22 +71,17 @@ std::string FormatStats(
       static_cast<unsigned long long>(admission->accepted_total()),
       static_cast<unsigned long long>(admission->rejected_connections()),
       admission->queued_requests(),
-      static_cast<unsigned long long>(
-          stats->requests.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          stats->frames_executed.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          stats->responses.load(std::memory_order_relaxed)),
+      static_cast<unsigned long long>(frames->frames_received->value()),
+      static_cast<unsigned long long>(frames->frames_executed->value()),
+      static_cast<unsigned long long>(frames->responses->value()),
       static_cast<unsigned long long>(admission->shed_requests()),
       static_cast<unsigned long long>(admission->quota_denied()),
       store->size(), static_cast<unsigned long long>(cs.hits),
       static_cast<unsigned long long>(cs.misses),
-      stats->queue_latency.QuantileMicros(0.5),
-      stats->queue_latency.QuantileMicros(0.99),
-      stats->exec_latency.QuantileMicros(0.5),
-      stats->exec_latency.QuantileMicros(0.99),
-      stats->total_latency.QuantileMicros(0.5),
-      stats->total_latency.QuantileMicros(0.99),
+      queue.QuantileMicros(0.5), queue.QuantileMicros(0.99),
+      exec.QuantileMicros(0.5), exec.QuantileMicros(0.99),
+      LatencyHistogram::BucketQuantileMicros(total, 0.5),
+      LatencyHistogram::BucketQuantileMicros(total, 0.99),
       static_cast<unsigned long long>(admission->rate_denied()),
       lookups > 0.0 ? static_cast<double>(cs.hits) / lookups : 0.0);
   if (verbs && len > 0 && static_cast<std::size_t>(len) < sizeof(line)) {
@@ -219,7 +221,6 @@ SocketListener::SocketListener(ServerOptions options, ServeContext context)
     : options_(std::move(options)),
       context_(std::move(context)),
       admission_(std::make_shared<AdmissionController>(options_.admission)),
-      stats_(std::make_shared<ServerStats>()),
       registry_(std::make_shared<metrics::Registry>()),
       draining_flag_(std::make_shared<std::atomic<bool>>(false)),
       started_at_(std::chrono::steady_clock::now()),
@@ -241,23 +242,17 @@ SocketListener::SocketListener(ServerOptions options, ServeContext context)
                                context_.durable->rate_denied());
   }
   RegisterServerMetrics();
+  // Every request is traced and recorded; a ring capacity of 0 only
+  // drops the /tracez ring.
   if (options_.trace_ring_capacity > 0) {
     trace_ring_ = std::make_shared<trace::TraceRing>(
         options_.trace_ring_capacity, options_.trace_slowest_capacity);
     context_.trace_ring = trace_ring_;
-    // The deleter pins the registry: a connection (and its pool tasks)
-    // can outlive the listener, and RecordSpans dereferences
-    // registry-owned histograms.
-    context_.trace_metrics = std::shared_ptr<const trace::ServingTraceMetrics>(
-        new trace::ServingTraceMetrics(registry_.get()),
-        [registry = registry_](const trace::ServingTraceMetrics* p) {
-          delete p;
-        });
-    context_.slow_query_micros =
-        options_.slow_query_ms > 0
-            ? static_cast<std::uint64_t>(options_.slow_query_ms) * 1000
-            : 0;
   }
+  context_.slow_query_micros =
+      options_.slow_query_ms > 0
+          ? static_cast<std::uint64_t>(options_.slow_query_ms) * 1000
+          : 0;
   // Build-phase gauges for everything loaded before the server started;
   // the release-loaded hook covers runtime loads.
   for (const auto& info : context_.store->List()) {
@@ -275,43 +270,19 @@ void SocketListener::RegisterServerMetrics() {
       table.get(),
       [registry = registry_, table](const service::SessionMetrics*) {});
 
-  // Frame-level counters: the ServerStats atomics stay authoritative
-  // (the connections bump them); the registry exports live views.
-  auto stats = stats_;
-  registry_->RegisterCallbackCounter(
-      "dpcube_frames_received_total", "",
-      "Protocol frames received, including shed ones.", [stats] {
-        return static_cast<double>(
-            stats->requests.load(std::memory_order_relaxed));
+  // The trace-fed latency families and the frame counters. The deleter
+  // pins the registry: a connection (and its pool tasks) can outlive
+  // the listener, and Record dereferences registry-owned histograms.
+  std::vector<std::string> verbs;
+  verbs.reserve(service::SessionMetrics::kKinds);
+  for (int k = 0; k < service::SessionMetrics::kKinds; ++k) {
+    verbs.push_back(service::VerbName(static_cast<service::RequestKind>(k)));
+  }
+  context_.trace_metrics = std::shared_ptr<const trace::ServingTraceMetrics>(
+      new trace::ServingTraceMetrics(registry_.get(), verbs),
+      [registry = registry_](const trace::ServingTraceMetrics* p) {
+        delete p;
       });
-  registry_->RegisterCallbackCounter(
-      "dpcube_frames_executed_total", "",
-      "Protocol frames that reached a session.", [stats] {
-        return static_cast<double>(
-            stats->frames_executed.load(std::memory_order_relaxed));
-      });
-  registry_->RegisterCallbackCounter(
-      "dpcube_responses_total", "", "Response frames enqueued for write.",
-      [stats] {
-        return static_cast<double>(
-            stats->responses.load(std::memory_order_relaxed));
-      });
-  // The per-phase histograms are owned by ServerStats; aliasing
-  // shared_ptrs export them without copying a sample.
-  registry_->RegisterExternalHistogram(
-      "dpcube_frame_latency_microseconds", "phase=\"queue\"",
-      "Frame latency by phase: queue (admission to worker), exec (on the "
-      "worker), total (arrival to response enqueued).",
-      std::shared_ptr<const LatencyHistogram>(stats_,
-                                              &stats_->queue_latency));
-  registry_->RegisterExternalHistogram(
-      "dpcube_frame_latency_microseconds", "phase=\"exec\"", "",
-      std::shared_ptr<const LatencyHistogram>(stats_,
-                                              &stats_->exec_latency));
-  registry_->RegisterExternalHistogram(
-      "dpcube_frame_latency_microseconds", "phase=\"total\"", "",
-      std::shared_ptr<const LatencyHistogram>(stats_,
-                                              &stats_->total_latency));
 
   // Admission state and spill counters.
   auto admission = admission_;
@@ -595,8 +566,12 @@ std::string SocketListener::http_bound_address() const {
 }
 
 std::string SocketListener::FormatStatsLine() const {
-  return FormatStats(admission_, stats_, context_.cache, context_.store,
-                     session_metrics_);
+  return FormatStats(admission_, context_.trace_metrics, context_.cache,
+                     context_.store, session_metrics_);
+}
+
+std::uint64_t SocketListener::frames_received() const {
+  return context_.trace_metrics->frames_received->value();
 }
 
 void SocketListener::Shutdown() {
@@ -643,12 +618,13 @@ void SocketListener::AcceptPending() {
     // carries worker completions, its linger set the eventual close.
     Poller& poller = *pollers_[next_poller_++ % pollers_.size()];
     auto connection = std::make_shared<Connection>(
-        std::move(fd), next_connection_id_++, context_, admission_, stats_,
+        std::move(fd), next_connection_id_++, context_, admission_,
         poller.MakeWakeup(), options_.max_frame_payload, poller.linger());
     connection->session().SetServerStatsHandler(
-        [admission = admission_, stats = stats_, cache = context_.cache,
-         store = context_.store, verbs = session_metrics_] {
-          return FormatStats(admission, stats, cache, store, verbs);
+        [admission = admission_, frames = context_.trace_metrics,
+         cache = context_.cache, store = context_.store,
+         verbs = session_metrics_] {
+          return FormatStats(admission, frames, cache, store, verbs);
         });
     connection->session().SetMetrics(session_metrics_);
     // Runtime `load` requests register their release's build-phase

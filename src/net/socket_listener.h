@@ -15,9 +15,11 @@
 //     ThreadPool; no network thread ever computes.
 //
 // The listener also owns the observability surface: a metrics::Registry
-// every collaborator registers into (per-verb counters and latency from
-// the sessions, callback gauges over admission/cache/pool state and the
-// per-poller connection counts, a /proc resource tracker) and — when
+// every collaborator registers into (per-verb counters from the
+// sessions, span/per-verb/per-release latency from each connection's
+// published request traces, callback gauges over admission/cache/pool
+// state and the per-poller connection counts, a /proc resource tracker)
+// and — when
 // http_listen_address is set — an HttpEndpoint spliced into poller 0's
 // loop serving /metrics, /healthz, and /statusz. HTTP stays polled
 // during drain so probes see the 503 instead of a refused connection.
@@ -45,7 +47,6 @@
 #include "net/http_endpoint.h"
 #include "net/linger.h"
 #include "net/poller.h"
-#include "net/server_stats.h"
 #include "service/serve_config.h"
 #include "service/service_metrics.h"
 
@@ -63,8 +64,8 @@ struct ServerOptions {
   /// open so load balancers need no secret.
   std::string http_token;
   /// Completed-request traces kept for /tracez (the "recent" view);
-  /// 0 disables request tracing entirely (no ring, no spans, no access
-  /// log records).
+  /// 0 drops only the ring — spans, latency metrics and access-log
+  /// records are recorded either way.
   std::size_t trace_ring_capacity = 256;
   /// Keep-slowest reservoir size for /tracez's "slowest" view.
   std::size_t trace_slowest_capacity = 16;
@@ -125,7 +126,8 @@ class SocketListener {
   std::string http_bound_address() const;
 
   const AdmissionController& admission() const { return *admission_; }
-  const ServerStats& stats() const { return *stats_; }
+  /// Protocol frames received so far, shed ones included.
+  std::uint64_t frames_received() const;
   /// The registry every server metric lives in (valid for the
   /// listener's lifetime; sessions keep it alive past that).
   const metrics::Registry& registry() const { return *registry_; }
@@ -152,10 +154,10 @@ class SocketListener {
   /// to the next poller round-robin) or gets a one-frame BUSY goodbye
   /// and a lingering close.
   void AcceptPending();
-  /// Registers every listener-level metric family (frame counters,
-  /// admission gauges, cache/pool/store stats, per-poller connection
-  /// gauges, resource tracker) into registry_ and resolves the
-  /// sessions' per-verb table.
+  /// Registers every listener-level metric family (the trace-fed
+  /// latency families and frame counters, admission gauges,
+  /// cache/pool/store stats, per-poller connection gauges, resource
+  /// tracker) into registry_ and resolves the sessions' per-verb table.
   void RegisterServerMetrics();
   /// Installs the /metrics, /healthz, /statusz, and /tracez routes on
   /// http_ (the first and last two behind the bearer token, when set).
@@ -168,7 +170,6 @@ class SocketListener {
   ServeContext context_;
   std::shared_ptr<trace::TraceRing> trace_ring_;
   std::shared_ptr<AdmissionController> admission_;
-  std::shared_ptr<ServerStats> stats_;
   std::shared_ptr<metrics::Registry> registry_;
   /// Per-verb pointer table shared by every session; its control block
   /// keeps registry_ alive, so a pool task finishing after teardown can

@@ -28,17 +28,15 @@ bool ServeSession::ProcessStream(std::istream& in, std::ostream& out,
                                  bool flush_each,
                                  trace::RequestTrace* frame_trace) {
   active_trace_ = frame_trace;
+  bool keep_going = true;
   std::string line;
-  while (std::getline(in, line)) {
+  while (keep_going && std::getline(in, line)) {
     const std::vector<std::string> tokens = Tokenize(line);
     if (tokens.empty()) continue;
     const Request request = ParseRequestLine(line, tokens);
-    const bool timed = metrics_ != nullptr || active_trace_ != nullptr;
-    const auto started = timed ? std::chrono::steady_clock::now()
-                               : std::chrono::steady_clock::time_point();
     if (active_trace_) {
       // The frame's identity is its first request; a pipelined frame
-      // keeps the first line's verb/release (and adds their spans up).
+      // keeps the first line's verb/release.
       if (active_trace_->verb.empty()) {
         active_trace_->verb = VerbName(request.kind);
       }
@@ -47,69 +45,48 @@ bool ServeSession::ProcessStream(std::istream& in, std::ostream& out,
         active_trace_->release = request.query.release;
       }
     }
-    const std::uint64_t encode_before =
-        active_trace_ ? active_trace_->span(trace::Span::kEncode) : 0;
-    bool quit = false;
     if (request.kind == RequestKind::kBatch) {
       HandleBatch(request, in, out);
     } else if (request.kind == RequestKind::kHello) {
       HandleHello(request, out);
     } else {
       Emit(ExecuteRequest(request), out);
-      quit = request.kind == RequestKind::kQuit;
+      keep_going = request.kind != RequestKind::kQuit;
     }
-    if (timed) {
-      const double seconds = std::chrono::duration<double>(
-                                 std::chrono::steady_clock::now() - started)
-                                 .count();
-      if (metrics_) {
-        metrics_->request_count(request.kind)->Increment();
-        metrics_->request_latency(request.kind)->Record(seconds);
-      }
-      if (active_trace_) {
-        // Compute is the line's wall-clock minus whatever Emit spent
-        // encoding, so the two spans partition the session's work.
-        const std::uint64_t line_micros =
-            static_cast<std::uint64_t>(seconds * 1e6);
-        const std::uint64_t encode_micros =
-            active_trace_->span(trace::Span::kEncode) - encode_before;
-        active_trace_->span_micros[static_cast<std::size_t>(
-            trace::Span::kCompute)] +=
-            line_micros > encode_micros ? line_micros - encode_micros : 0;
-      }
-    }
-    if (quit) {
-      out.flush();
-      active_trace_ = nullptr;
-      return false;
-    }
-    if (flush_each) out.flush();
+    if (metrics_) metrics_->request_count(request.kind)->Increment();
+    if (flush_each || !keep_going) out.flush();
   }
   active_trace_ = nullptr;
-  return true;
+  return keep_going;
 }
 
 void ServeSession::Emit(const Response& response, std::ostream& out) {
-  if (metrics_ && response.code != ErrorCode::kOk) {
-    metrics_->error_count(response.code)->Increment();
+  if (response.code != ErrorCode::kOk) {
+    if (metrics_) metrics_->error_count(response.code)->Increment();
+    // The frame's outcome is its first non-kOk response (or "Ok", filled
+    // in by the connection when the trace finalises with none recorded).
+    if (active_trace_ && active_trace_->outcome.empty()) {
+      active_trace_->outcome = ErrorCodeName(response.code);
+    }
   }
+  Encode(response, out);
+}
+
+void ServeSession::Encode(const Response& response, std::ostream& out) {
   if (active_trace_ == nullptr) {
     EncodeResponse(response, codec(), out);
     return;
   }
-  // The frame's outcome is its first non-kOk response (or "Ok", filled
-  // in by the connection when the trace finalises with none recorded).
-  if (response.code != ErrorCode::kOk && active_trace_->outcome.empty()) {
-    active_trace_->outcome = ErrorCodeName(response.code);
-  }
+  // The session's only clock: the connection times the whole execution
+  // and takes this encode time out of it to get the compute span.
   const auto started = std::chrono::steady_clock::now();
   EncodeResponse(response, codec(), out);
-  active_trace_->span_micros[static_cast<std::size_t>(
-      trace::Span::kEncode)] +=
-      static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - started)
-              .count());
+  const auto micros = std::chrono::duration_cast<std::chrono::microseconds>(
+      std::chrono::steady_clock::now() - started);
+  active_trace_->set_span(
+      trace::Span::kEncode,
+      active_trace_->span(trace::Span::kEncode) +
+          static_cast<std::uint64_t>(micros.count()));
 }
 
 void ServeSession::HandleHello(const Request& request, std::ostream& out) {
@@ -121,7 +98,7 @@ void ServeSession::HandleHello(const Request& request, std::ostream& out) {
   ack.request = RequestKind::kHello;
   ack.version = request.version;
   ack.codec = request.codec;
-  EncodeResponse(ack, codec(), out);
+  Encode(ack, out);
   codec_.store(request.codec, std::memory_order_release);
 }
 
@@ -180,20 +157,11 @@ Response ServeSession::ExecuteRequest(const Request& request) {
     case RequestKind::kQuery: {
       Response denied;
       if (!CheckQuota(request.query, &denied)) return denied;
-      if (!trace_metrics_) {
-        return Response::FromQuery(service_->Answer(request.query));
-      }
-      const auto started = std::chrono::steady_clock::now();
       Response answered = Response::FromQuery(service_->Answer(request.query));
       // Unknown releases never mint per-release series: the name came
       // off the wire and only the cardinality cap would bound it.
-      if (answered.code != ErrorCode::kNotFound) {
-        const trace::ServingTraceMetrics::PerRelease series =
-            trace_metrics_->Release(request.query.release);
-        series.queries->Increment();
-        series.latency->Record(std::chrono::duration<double>(
-                                   std::chrono::steady_clock::now() - started)
-                                   .count());
+      if (trace_metrics_ && answered.code != ErrorCode::kNotFound) {
+        trace_metrics_->Release(request.query.release).queries->Increment();
       }
       return answered;
     }

@@ -78,10 +78,11 @@ class ServeSession {
   /// A "batch N" whose sub-lines are cut off by the end of `in` answers
   /// "ERR unexpected EOF inside batch", bounding the error to the frame.
   ///
-  /// `frame_trace`, when non-null, accumulates the frame's compute and
-  /// encode spans plus verb/release/outcome/batch identity (the network
-  /// connection owns the trace and its other spans). The session never
-  /// shares a trace across threads: one frame executes on one worker.
+  /// `frame_trace`, when non-null, accumulates the frame's encode span
+  /// plus verb/release/outcome/batch identity (the network connection
+  /// owns the trace, times the frame, and derives the other spans). The
+  /// session never shares a trace across threads: one frame executes on
+  /// one worker.
   bool ProcessStream(std::istream& in, std::ostream& out,
                      bool flush_each = false,
                      trace::RequestTrace* frame_trace = nullptr);
@@ -117,17 +118,18 @@ class ServeSession {
 
   /// Installs the per-verb telemetry table (resolved once against the
   /// server's registry; see service/service_metrics.h). Every processed
-  /// request bumps its verb's counter and latency histogram, and every
-  /// non-kOk response bumps its error-code counter. Unset (CLI mode and
-  /// most tests), the session records nothing.
+  /// request bumps its verb's counter, and every non-kOk response bumps
+  /// its error-code counter. Unset (CLI mode and most tests), the
+  /// session counts nothing.
   void SetMetrics(std::shared_ptr<const SessionMetrics> metrics) {
     metrics_ = std::move(metrics);
   }
 
-  /// Installs the tracing-side metric table (span histograms plus the
-  /// capped per-release series; see common/trace_metrics.h). With it
-  /// set, every answered query also records into its release's
-  /// labelled counter/latency series. Unset, nothing is recorded.
+  /// Installs the tracing-side metric table (see common/trace_metrics.h).
+  /// With it set, every answered query bumps its release's labelled
+  /// counter, and every batch group records its release's latency; the
+  /// per-query latency comes from the published trace. Unset, nothing
+  /// is recorded.
   void SetTraceMetrics(
       std::shared_ptr<const trace::ServingTraceMetrics> trace_metrics) {
     trace_metrics_ = std::move(trace_metrics);
@@ -170,6 +172,9 @@ class ServeSession {
   /// code in the error telemetry first. Every response leaves through
   /// here so the error counters can never miss a path.
   void Emit(const Response& response, std::ostream& out);
+  /// Encodes `response` under the current codec; with a frame trace,
+  /// adds the time taken to its encode span.
+  void Encode(const Response& response, std::ostream& out);
 
   std::shared_ptr<ReleaseStore> store_;
   std::shared_ptr<MarginalCache> cache_;

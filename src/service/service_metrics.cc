@@ -42,9 +42,6 @@ std::shared_ptr<const SessionMetrics> SessionMetrics::Create(
     table->requests[static_cast<std::size_t>(k)] = registry->GetCounter(
         "dpcube_requests_total", labels,
         "Requests processed by sessions, by protocol verb.");
-    table->latency[static_cast<std::size_t>(k)] = registry->GetHistogram(
-        "dpcube_request_latency_microseconds", labels,
-        "Per-verb request handling latency on the session thread.");
   }
   for (int c = 1; c < kCodes; ++c) {
     const std::string labels =

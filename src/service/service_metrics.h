@@ -4,8 +4,9 @@
 // ServeSession bumps on its hot path. Resolution (name -> pointer)
 // happens ONCE, at server startup, against the listener's registry;
 // every session then shares the same immutable pointer table, so a
-// request costs two relaxed atomic adds and one histogram record — no
-// lock, no map lookup, no string.
+// request costs one relaxed atomic add — no lock, no map lookup, no
+// string. The session only counts; latency is timed by the connection
+// and recorded from the published trace (common/trace_metrics.h).
 
 #ifndef DPCUBE_SERVICE_SERVICE_METRICS_H_
 #define DPCUBE_SERVICE_SERVICE_METRICS_H_
@@ -32,23 +33,18 @@ struct SessionMetrics {
   static constexpr int kCodes = 6;    // ErrorCode::kOk..kInternal.
 
   std::array<metrics::Counter*, kKinds> requests{};
-  std::array<metrics::LatencyHistogram*, kKinds> latency{};
   std::array<metrics::Counter*, kCodes> errors{};
 
   metrics::Counter* request_count(RequestKind kind) const {
     return requests[static_cast<std::size_t>(kind)];
   }
-  metrics::LatencyHistogram* request_latency(RequestKind kind) const {
-    return latency[static_cast<std::size_t>(kind)];
-  }
   metrics::Counter* error_count(ErrorCode code) const {
     return errors[static_cast<std::size_t>(code)];
   }
 
-  /// Resolves the table against `registry`: dpcube_requests_total{verb=},
-  /// dpcube_request_latency_microseconds{verb=}, and
-  /// dpcube_errors_total{code=} (kOk excluded — only failures count as
-  /// errors; errors[0] stays null and callers branch on the code).
+  /// Resolves the table against `registry`: dpcube_requests_total{verb=}
+  /// and dpcube_errors_total{code=} (kOk excluded — only failures count
+  /// as errors; errors[0] stays null and callers branch on the code).
   static std::shared_ptr<const SessionMetrics> Create(
       metrics::Registry* registry);
 };

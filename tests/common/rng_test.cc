@@ -26,6 +26,14 @@ TEST(RngTest, DifferentSeedsDiffer) {
   EXPECT_EQ(same, 0);
 }
 
+TEST(RngTest, OsRandomSeedsDiffer) {
+  const Result<std::uint64_t> a = OsRandomSeed();
+  const Result<std::uint64_t> b = OsRandomSeed();
+  ASSERT_TRUE(a.ok()) << a.status();
+  ASSERT_TRUE(b.ok()) << b.status();
+  EXPECT_NE(a.value(), b.value());  // Equal with probability 2^-64.
+}
+
 TEST(RngTest, NextDoubleRange) {
   Rng rng(7);
   for (int i = 0; i < 10'000; ++i) {

@@ -2,7 +2,8 @@
 //
 // The HTTP observability endpoint over a loopback server: exposition
 // validity of /metrics (every family typed exactly once, no duplicate
-// samples, >= 12 families), /healthz flipping to 503 during drain,
+// samples, >= 12 families), the series-count budget of one served
+// release, /healthz flipping to 503 during drain,
 // hostile/partial HTTP never stalling the poll loop, and a rate-quota
 // denial visible — with the same value — in both STATS and /metrics.
 
@@ -199,7 +200,7 @@ TEST(HttpEndpointTest, MetricsExpositionIsValidAndCoversTheSurface) {
   // The families the tentpole promises.
   for (const char* family :
        {"dpcube_requests_total", "dpcube_request_latency_microseconds",
-        "dpcube_errors_total", "dpcube_frame_latency_microseconds",
+        "dpcube_errors_total", "dpcube_span_microseconds",
         "dpcube_connections_active", "dpcube_queue_depth",
         "dpcube_quota_denied_total", "dpcube_cache_hits_total",
         "dpcube_cache_misses_total", "dpcube_releases_loaded",
@@ -244,6 +245,38 @@ TEST(HttpEndpointTest, StatsVerbAndMetricsAgreeOnPerVerbCounts) {
       << body;
 }
 
+// Sample lines (one per series) in a /metrics body.
+std::size_t SeriesCount(const std::string& body) {
+  std::istringstream lines(body);
+  std::string line;
+  std::size_t series = 0;
+  while (std::getline(lines, line)) {
+    if (!line.empty() && line[0] != '#') ++series;
+  }
+  return series;
+}
+
+TEST(HttpEndpointTest, MetricSeriesStayWithinTheCardinalityBudget) {
+  // The budget is the series count of one poller serving one loaded,
+  // queried release (a histogram is 34 series: 31 buckets, +Inf, _sum,
+  // _count). Growing the surface means raising this number on purpose.
+  constexpr std::size_t kSeriesBudget = 625;
+  ServerOptions options = WithHttp();
+  options.net_threads = 1;  // Per-poller gauges counted once.
+  LoopbackServer server(options);
+  const std::size_t idle =
+      SeriesCount(BodyOf(HttpGet(server.http_port(), "/metrics")));
+  auto client = Client::Connect(server.address());
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(client.value().CallLines("query demo cell 0x3 0").ok());
+  const std::size_t queried =
+      SeriesCount(BodyOf(HttpGet(server.http_port(), "/metrics")));
+  EXPECT_LE(idle, kSeriesBudget);
+  EXPECT_LE(queried, kSeriesBudget);
+  // The first query mints the release's counter and latency histogram.
+  EXPECT_EQ(queried - idle, 35u);
+}
+
 TEST(HttpEndpointTest, HealthzFlipsTo503DuringDrain) {
   LoopbackServer server(WithHttp());
   const std::uint16_t port = server.http_port();
@@ -276,11 +309,11 @@ TEST(HttpEndpointTest, HealthzFlipsTo503DuringDrain) {
   // the drain could finish before the in-flight work exists.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (server.listener().stats().requests.load() < 2 &&
+  while (server.listener().frames_received() < 2 &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ASSERT_GE(server.listener().stats().requests.load(), 2u);
+  ASSERT_GE(server.listener().frames_received(), 2u);
 
   // HTTP stays polled during drain precisely so probes see the 503.
   server.listener().Shutdown();

@@ -396,7 +396,7 @@ TEST(ProtocolV2Test, ShedBusyArrivesAsBinaryRecordAfterNegotiation) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   // +2 for the HELLO frame already executed.
-  while (server.listener().stats().requests.load() <
+  while (server.listener().frames_received() <
              static_cast<std::uint64_t>(2 + kBurst) &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));

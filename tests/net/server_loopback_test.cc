@@ -325,12 +325,12 @@ TEST(ServerLoopbackTest, InflightCapShedsWithBusyAndNeverDrops) {
   // the whole pipeline, then let the workers go.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (server.listener().stats().requests.load() <
+  while (server.listener().frames_received() <
              static_cast<std::uint64_t>(1 + kBurst) &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ASSERT_GE(server.listener().stats().requests.load(),
+  ASSERT_GE(server.listener().frames_received(),
             static_cast<std::uint64_t>(1 + kBurst));
   release_workers.set_value();
 

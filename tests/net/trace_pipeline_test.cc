@@ -5,7 +5,9 @@
 // same trace id, same span values — in all three sinks (/tracez, the
 // JSONL access log, and the span histograms in /metrics); concurrent
 // traced traffic with readers scraping the ring must stay consistent
-// (and, on the TSan matrix, race-free); and a frame that fails to
+// (and, on the TSan matrix, race-free); every executed frame must be
+// recorded exactly once in each span, per-verb and per-release latency
+// family, with or without the /tracez ring; and a frame that fails to
 // decode must still yield a well-formed "(decode-error)" trace.
 
 #include <sys/socket.h>
@@ -18,6 +20,7 @@
 #include <functional>
 #include <future>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -196,7 +199,7 @@ TEST(TracePipelineTest, SlowRequestVisibleInAllThreeSinks) {
   ASSERT_TRUE(WaitFor([&] { return parked.load() == kWorkers; }));
   ASSERT_TRUE(client.value().Send("query demo marginal 0x5").ok());
   ASSERT_TRUE(WaitFor(
-      [&] { return server.listener().stats().requests.load() >= 2; }));
+      [&] { return server.listener().frames_received() >= 2; }));
   std::this_thread::sleep_for(std::chrono::milliseconds(60));
   release_workers.set_value();
   std::string payload;
@@ -303,8 +306,8 @@ TEST(TracePipelineTest, SlowRequestVisibleInAllThreeSinks) {
   EXPECT_GE(MetricValue(body,
                         "dpcube_release_queries_total{release=\"demo\"}"),
             2.0);
-  // Fast requests exist too, so compute spans were recorded for both.
-  EXPECT_GE(
+  // Both executed frames recorded a compute span, however short.
+  EXPECT_EQ(
       MetricValue(body, "dpcube_span_microseconds_count{span=\"compute\"}"),
       2.0);
 }
@@ -382,6 +385,78 @@ TEST(TracePipelineTest, ConcurrentTracedTrafficStaysConsistent) {
                         "dpcube_release_queries_total{release=\"demo\"}"),
             static_cast<double>(kClients) * kPerClient)
       << body;
+}
+
+// Value of `key`=N in a /tracez row.
+std::uint64_t RowField(const std::string& row, const std::string& key) {
+  const std::size_t pos = row.find(" " + key + "=");
+  EXPECT_NE(pos, std::string::npos) << key << " missing in " << row;
+  if (pos == std::string::npos) return 0;
+  return std::stoull(row.substr(pos + key.size() + 2));
+}
+
+// One clock per request: every executed query frame lands exactly once
+// in every span, in its verb's latency and in its release's latency,
+// whether or not the /tracez ring is kept.
+TEST(TracePipelineTest, EveryFrameIsRecordedOnceAtAnyRingSize) {
+  constexpr int kFrames = 40;
+  for (const std::size_t ring_capacity : {std::size_t{256}, std::size_t{0}}) {
+    SCOPED_TRACE("trace ring capacity " + std::to_string(ring_capacity));
+    ServerOptions options;
+    options.http_listen_address = "127.0.0.1:0";
+    options.trace_ring_capacity = ring_capacity;
+    LoopbackServer server(options);
+    auto client = Client::Connect(server.address());
+    ASSERT_TRUE(client.ok());
+    for (int i = 0; i < kFrames; ++i) {
+      auto lines = client.value().CallLines("query demo cell 0x3 " +
+                                            std::to_string(i % 4));
+      ASSERT_TRUE(lines.ok());
+      ASSERT_EQ(lines.value()[0].rfind("OK query", 0), 0u);
+    }
+    // Traces publish just after their last byte leaves, so the final
+    // one can trail the client's read by a moment.
+    const std::string verb_count =
+        "dpcube_request_latency_microseconds_count{verb=\"query\"}";
+    std::string body;
+    ASSERT_TRUE(WaitFor([&] {
+      body = BodyOf(HttpGet(server.http_port(), "/metrics"));
+      return MetricValue(body, verb_count) >= kFrames;
+    }));
+    for (int s = 0; s < trace::kNumSpans; ++s) {
+      const std::string span = trace::SpanName(static_cast<trace::Span>(s));
+      EXPECT_EQ(MetricValue(body, "dpcube_span_microseconds_count{span=\"" +
+                                      span + "\"}"),
+                kFrames)
+          << span;
+    }
+    EXPECT_EQ(MetricValue(body, verb_count), kFrames);
+    EXPECT_EQ(MetricValue(body,
+                          "dpcube_release_query_latency_microseconds_count{"
+                          "release=\"demo\"}"),
+              kFrames);
+
+    if (ring_capacity == 0) {
+      EXPECT_EQ(server.listener().trace_ring(), nullptr);
+      continue;
+    }
+    const std::string page = BodyOf(HttpGet(server.http_port(), "/tracez"));
+    std::istringstream rows(page.substr(page.find("recent:")));
+    std::string row;
+    int checked = 0;
+    while (std::getline(rows, row)) {
+      if (row.rfind("trace id=", 0) != 0) continue;
+      std::uint64_t span_sum = 0;
+      for (int s = 0; s < trace::kNumSpans; ++s) {
+        span_sum += RowField(
+            row, std::string(trace::SpanName(static_cast<trace::Span>(s))) +
+                     "_us");
+      }
+      EXPECT_EQ(RowField(row, "total_us"), span_sum) << row;
+      ++checked;
+    }
+    EXPECT_EQ(checked, kFrames);
+  }
 }
 
 TEST(TracePipelineTest, DecodeErrorYieldsWellFormedTrace) {

@@ -162,7 +162,7 @@ int Usage() {
                "completed request,\n"
                "   --slow-query-ms flags requests at/above N ms as slow, "
                "--trace-ring\n"
-               "   sizes the /tracez ring — 0 disables tracing.\n"
+               "   sizes the /tracez ring — 0 drops only the ring.\n"
                "   --state-dir makes serving state durable: every "
                "load/unload and quota\n"
                "   charge is logged to DIR before taking effect, and a "
@@ -170,7 +170,11 @@ int Usage() {
                "   same DIR restores releases and the quota ledger "
                "exactly; --snapshot-every\n"
                "   bounds replay by snapshotting after N records "
-               "(default 1024))\n");
+               "(default 1024))\n"
+               "  (release and integral draw their noise seed from the OS "
+               "unless --seed S\n"
+               "   is given; a fixed seed reproduces the noise "
+               "bit-for-bit.)\n");
   return 2;
 }
 
@@ -223,6 +227,17 @@ double FlagDouble(const std::map<std::string, std::string>& flags,
                   const std::string& key, double fallback) {
   auto it = flags.find(key);
   return it == flags.end() ? fallback : std::atof(it->second.c_str());
+}
+
+// The noise seed. --seed S reproduces a release bit-for-bit; without it
+// the seed comes from the kernel, so knowing the schema and the defaults
+// is not enough to regenerate (and subtract) the noise.
+Result<std::uint64_t> NoiseSeed(
+    const std::map<std::string, std::string>& flags) {
+  if (flags.count("seed") != 0) {
+    return static_cast<std::uint64_t>(FlagDouble(flags, "seed", 0));
+  }
+  return OsRandomSeed();
 }
 
 int RunSynth(const std::map<std::string, std::string>& flags) {
@@ -290,7 +305,12 @@ int RunRelease(const std::map<std::string, std::string>& flags) {
   options.params.delta = FlagDouble(flags, "delta", 0.0);
   options.budget_mode = method.value().budget_mode;
   options.enforce_consistency = flags.find("no-consistency") == flags.end();
-  Rng rng(static_cast<std::uint64_t>(FlagDouble(flags, "seed", 1)));
+  const Result<std::uint64_t> seed = NoiseSeed(flags);
+  if (!seed.ok()) {
+    err_log.Error("release: seed: " + seed.status().ToString());
+    return 1;
+  }
+  Rng rng(seed.value());
 
   const data::SparseCounts counts =
       data::SparseCounts::FromDataset(dataset.value());
@@ -414,7 +434,12 @@ int RunIntegral(const std::map<std::string, std::string>& flags) {
   }
   dp::PrivacyParams params;
   params.epsilon = FlagDouble(flags, "epsilon", 1.0);
-  Rng rng(static_cast<std::uint64_t>(FlagDouble(flags, "seed", 1)));
+  const Result<std::uint64_t> seed = NoiseSeed(flags);
+  if (!seed.ok()) {
+    err_log.Error("integral: seed: " + seed.status().ToString());
+    return 1;
+  }
+  Rng rng(seed.value());
   const data::SparseCounts counts =
       data::SparseCounts::FromDataset(dataset.value());
   recovery::IntegralReleaseOptions int_options;
