@@ -124,10 +124,9 @@ double SparseCounts::FourierCoefficient(bits::Mask alpha) const {
   // so one huge cuboid produces bit-identical coefficients at every
   // thread count (the determinism suite covers this). Below the cutoff
   // the scan stays inline and byte-identical to the historical
-  // sequential sum (the golden snapshots sit well below it). This is the
-  // single-huge-cuboid complement to the per-coefficient fan-out in the
-  // F strategy: nested ParallelFor is safe, and when only a few
-  // coefficients are in flight the inner blocks keep every thread busy.
+  // sequential sum. On integer counts every order gives the same exact
+  // sum, so both paths agree with marginal::WorkloadProjection bit for
+  // bit.
   constexpr std::size_t kParallelCutoff = std::size_t{1} << 14;
   constexpr std::size_t kBlock = std::size_t{1} << 12;
   const std::size_t n = entries_.size();

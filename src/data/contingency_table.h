@@ -6,9 +6,10 @@
 //  * DenseTable   — the full 2^d cell vector. Practical up to d ~ 24.
 //  * SparseCounts — (cell, count) pairs over occupied cells only. Real
 //    datasets occupy far fewer cells than 2^d; marginals and Fourier
-//    coefficients are computed directly from the occupied cells in time
-//    O(#occupied) per query, which is how the library scales to the
-//    Adult-size 23-bit domain without materialising x.
+//    coefficients are computed from the occupied cells (a workload's
+//    worth at once by marginal::WorkloadProjection), which is how the
+//    library scales to the Adult-size 23-bit domain without
+//    materialising x.
 
 #ifndef DPCUBE_DATA_CONTINGENCY_TABLE_H_
 #define DPCUBE_DATA_CONTINGENCY_TABLE_H_
@@ -79,7 +80,10 @@ class SparseCounts {
   Result<DenseTable> ToDense() const;
 
   /// Fourier coefficient <f^alpha, x> = 2^{-d/2} sum_cells count *
-  /// (-1)^{<alpha, cell>}, in O(num_occupied).
+  /// (-1)^{<alpha, cell>}, in O(num_occupied): one scan per coefficient.
+  /// The strategies measure a whole workload's coefficients through
+  /// marginal::WorkloadProjection instead; this is the direct reference
+  /// it is tested against.
   double FourierCoefficient(bits::Mask alpha) const;
 
  private:

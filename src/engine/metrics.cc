@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "marginal/projection.h"
+
 namespace dpcube {
 namespace engine {
 
@@ -14,6 +16,7 @@ Result<ErrorReport> EvaluateRelease(
   if (released.size() != workload.num_marginals()) {
     return Status::InvalidArgument("released marginal count mismatch");
   }
+  const marginal::WorkloadProjection projection(data, workload);
   ErrorReport report;
   double abs_sum = 0.0;
   std::size_t cell_count = 0;
@@ -24,8 +27,7 @@ Result<ErrorReport> EvaluateRelease(
     if (released[i].alpha() != workload.mask(i)) {
       return Status::InvalidArgument("released marginals out of order");
     }
-    const marginal::MarginalTable truth =
-        marginal::ComputeMarginal(data, workload.mask(i));
+    const marginal::MarginalTable& truth = projection.marginals()[i];
     double marginal_abs = 0.0;
     for (std::size_t g = 0; g < truth.num_cells(); ++g) {
       const double err = std::fabs(released[i].value(g) - truth.value(g));

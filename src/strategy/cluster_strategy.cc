@@ -12,6 +12,7 @@
 
 #include "common/thread_pool.h"
 #include "dp/mechanisms.h"
+#include "marginal/projection.h"
 #include "marginal/query_matrix.h"
 
 namespace dpcube {
@@ -192,10 +193,13 @@ Result<Release> ClusterStrategy::Run(const data::SparseCounts& data,
     }
   }
 
-  // Measure the centroid marginals: per-centroid fan-out, centroid m
-  // drawing its noise from child stream m of one master draw (Rng::Stream
-  // rule), so the release is bit-identical for every thread count.
+  // Measure the centroid marginals, all from one shared projection of
+  // the data: per-centroid fan-out, centroid m drawing its noise from
+  // child stream m of one master draw (Rng::Stream rule), so the release
+  // is bit-identical for every thread count.
   ThreadPool& pool = ThreadPool::Shared();
+  const marginal::WorkloadProjection truth(
+      data, marginal::Workload(workload_.d(), materialized_));
   const std::uint64_t noise_base = rng->NextUint64();
   // 1-cell placeholders; every slot is move-assigned by its worker
   // before the join returns.
@@ -203,8 +207,7 @@ Result<Release> ClusterStrategy::Run(const data::SparseCounts& data,
                                              marginal::MarginalTable(0, 0));
   pool.ParallelFor(0, materialized_.size(), 1, [&](std::size_t m) {
     Rng child = Rng::Stream(noise_base, m);
-    marginal::MarginalTable table =
-        marginal::ComputeMarginal(data, materialized_[m]);
+    marginal::MarginalTable table = truth.marginals()[m];
     for (std::size_t g = 0; g < table.num_cells(); ++g) {
       table.value(g) += dp::SampleNoise(group_budgets[m], params, &child);
     }

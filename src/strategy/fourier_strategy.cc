@@ -7,6 +7,7 @@
 
 #include "common/thread_pool.h"
 #include "dp/mechanisms.h"
+#include "marginal/projection.h"
 
 namespace dpcube {
 namespace strategy {
@@ -50,19 +51,20 @@ Result<Release> FourierStrategy::Run(const data::SparseCounts& data,
     }
   }
 
-  // Measure every needed coefficient once. Each coefficient scans the
-  // occupied cells independently, so the fan-out is embarrassingly
-  // parallel; coefficient i samples its noise from child stream i of one
+  // Measure every needed coefficient once, all from one shared
+  // projection of the data (exact, so the route never shows in the
+  // output). Coefficient i samples its noise from child stream i of one
   // master draw (the Rng::Stream seed-derivation rule), which keeps the
   // release bit-identical for every thread count.
   ThreadPool& pool = ThreadPool::Shared();
+  const linalg::Vector truth =
+      marginal::WorkloadProjection(data, workload_).FourierCoefficients(index_);
   const std::uint64_t noise_base = rng->NextUint64();
   linalg::Vector noisy(index_.size());
   linalg::Vector coeff_variance(index_.size());
   pool.ParallelFor(0, index_.size(), 1, [&](std::size_t i) {
     Rng child = Rng::Stream(noise_base, i);
-    noisy[i] = data.FourierCoefficient(index_.mask(i)) +
-               dp::SampleNoise(group_budgets[i], params, &child);
+    noisy[i] = truth[i] + dp::SampleNoise(group_budgets[i], params, &child);
     coeff_variance[i] = dp::MeasurementVariance(group_budgets[i], params);
   });
 

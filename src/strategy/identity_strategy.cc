@@ -9,6 +9,7 @@
 
 #include "common/thread_pool.h"
 #include "dp/mechanisms.h"
+#include "marginal/projection.h"
 
 namespace dpcube {
 namespace strategy {
@@ -61,9 +62,11 @@ Result<Release> IdentityStrategy::Run(const data::SparseCounts& data,
   if (!(eta > 0.0)) {
     return Status::InvalidArgument("group budget must be positive");
   }
-  // Per-cuboid fan-out: marginal i derives and perturbs independently
-  // using child noise stream i of one master draw (Rng::Stream rule), so
-  // the release is bit-identical for every thread count.
+  // The true marginals come from one shared projection of the data;
+  // marginal i is then perturbed independently using child noise stream
+  // i of one master draw (Rng::Stream rule), so the release is
+  // bit-identical for every thread count.
+  const marginal::WorkloadProjection truth(data, workload_);
   const std::uint64_t noise_base = rng->NextUint64();
   const std::size_t num_marginals = workload_.num_marginals();
   Release release;
@@ -75,7 +78,7 @@ Result<Release> IdentityStrategy::Run(const data::SparseCounts& data,
   ThreadPool::Shared().ParallelFor(0, num_marginals, 1, [&](std::size_t i) {
     const bits::Mask alpha = workload_.mask(i);
     Rng child = Rng::Stream(noise_base, i);
-    marginal::MarginalTable table = marginal::ComputeMarginal(data, alpha);
+    marginal::MarginalTable table = truth.marginals()[i];
     const std::uint64_t base_cells_per_output =
         std::uint64_t{1} << (workload_.d() - bits::Popcount(alpha));
     for (std::size_t g = 0; g < table.num_cells(); ++g) {

@@ -4,10 +4,13 @@
 // grouping summary (what the budget optimizer needs), and can execute the
 // measurement + default recovery given per-group budgets, producing noisy
 // workload marginals. This deliberately avoids materialising the m x N
-// strategy matrix: the Adult-scale domain has N = 2^23 columns, and every
-// strategy here admits an implicit evaluation that touches only the
-// occupied cells of the contingency table. A dense materialisation is
-// still available for small domains (tests, worked examples).
+// strategy matrix: the Adult-scale domain has N = 2^23 columns. Every
+// strategy takes the exact answers it perturbs (marginals or Fourier
+// coefficients) from one marginal::WorkloadProjection of the occupied
+// cells: a single pass plus one transform when the workload's union
+// domain is small next to the data, else one scan per measured marginal
+// — never one scan per coefficient. A dense materialisation is still
+// available for small domains (tests, worked examples).
 
 #ifndef DPCUBE_STRATEGY_MARGINAL_STRATEGY_H_
 #define DPCUBE_STRATEGY_MARGINAL_STRATEGY_H_

@@ -7,6 +7,7 @@
 
 #include "common/thread_pool.h"
 #include "dp/mechanisms.h"
+#include "marginal/projection.h"
 #include "marginal/query_matrix.h"
 
 namespace dpcube {
@@ -51,8 +52,10 @@ Result<Release> QueryStrategy::Run(const data::SparseCounts& data,
       return Status::InvalidArgument("group budgets must be positive");
     }
   }
-  // Per-cuboid fan-out with one child noise stream per marginal
+  // The true marginals come from one shared projection of the data; the
+  // per-cuboid noise fan-out draws one child stream per marginal
   // (Rng::Stream rule): bit-identical for every thread count.
+  const marginal::WorkloadProjection truth(data, workload_);
   const std::uint64_t noise_base = rng->NextUint64();
   const std::size_t num_marginals = workload_.num_marginals();
   Release release;
@@ -64,8 +67,7 @@ Result<Release> QueryStrategy::Run(const data::SparseCounts& data,
   ThreadPool::Shared().ParallelFor(0, num_marginals, 1, [&](std::size_t i) {
     const double eta = group_budgets[i];
     Rng child = Rng::Stream(noise_base, i);
-    marginal::MarginalTable table =
-        marginal::ComputeMarginal(data, workload_.mask(i));
+    marginal::MarginalTable table = truth.marginals()[i];
     for (std::size_t g = 0; g < table.num_cells(); ++g) {
       table.value(g) += dp::SampleNoise(eta, params, &child);
     }

@@ -18,6 +18,10 @@ namespace {
 // tiny; only full-domain tables cross this).
 constexpr std::size_t kParallelCutoff = std::size_t{1} << 14;
 
+bool RunsParallel(std::size_t n) {
+  return n >= kParallelCutoff && ThreadPool::Shared().parallelism() > 1;
+}
+
 }  // namespace
 
 bool IsPowerOfTwo(std::size_t n) { return n > 0 && (n & (n - 1)) == 0; }
@@ -27,12 +31,12 @@ int Log2OfPowerOfTwo(std::size_t n) {
   return std::countr_zero(n);
 }
 
-void WalshHadamard(std::vector<double>* x) {
+void WalshHadamardUnscaled(std::vector<double>* x) {
   const std::size_t n = x->size();
   assert(IsPowerOfTwo(n));
   std::vector<double>& v = *x;
   ThreadPool& pool = ThreadPool::Shared();
-  const bool parallel = n >= kParallelCutoff && pool.parallelism() > 1;
+  const bool parallel = RunsParallel(n);
   for (std::size_t len = 1; len < n; len <<= 1) {
     if (parallel) {
       // Every stage is a disjoint set of (k, k+len) pairs, so the blocked
@@ -72,15 +76,19 @@ void WalshHadamard(std::vector<double>* x) {
       }
     }
   }
+}
+
+void WalshHadamard(std::vector<double>* x) {
+  WalshHadamardUnscaled(x);
   // Orthonormal scaling 2^{-d/2}.
+  std::vector<double>& v = *x;
+  const std::size_t n = v.size();
   const double scale = 1.0 / std::sqrt(static_cast<double>(n));
-  if (parallel) {
-    pool.ParallelForBlocks(0, n, std::size_t{1} << 14,
-                           [&v, scale](std::size_t lo, std::size_t hi) {
-                             for (std::size_t i = lo; i < hi; ++i) {
-                               v[i] *= scale;
-                             }
-                           });
+  if (RunsParallel(n)) {
+    ThreadPool::Shared().ParallelForBlocks(
+        0, n, std::size_t{1} << 14, [&v, scale](std::size_t lo, std::size_t hi) {
+          for (std::size_t i = lo; i < hi; ++i) v[i] *= scale;
+        });
   } else {
     for (double& value : v) value *= scale;
   }

@@ -19,8 +19,15 @@
 namespace dpcube {
 namespace transform {
 
-/// In-place orthonormal WHT of a length-2^d vector (d inferred; size must be
-/// a power of two). O(N log N). Involution: WHT(WHT(x)) == x.
+/// In-place unscaled WHT of a length-2^d vector (size must be a power of
+/// two): the butterfly stages alone, x_alpha <- sum_beta (-1)^{<alpha,beta>}
+/// x_beta. O(N log N). Every stage only adds and subtracts, so on an
+/// integer vector whose partial sums stay below 2^53 the result is exact.
+/// Applying it twice gives 2^d x.
+void WalshHadamardUnscaled(std::vector<double>* x);
+
+/// In-place orthonormal WHT: the unscaled transform, then the 2^{-d/2}
+/// scale. Involution: WHT(WHT(x)) == x.
 void WalshHadamard(std::vector<double>* x);
 
 /// Out-of-place convenience wrapper.

@@ -27,6 +27,7 @@
 #include "engine/release_io.h"
 #include "strategy/cluster_strategy.h"
 #include "strategy/fourier_strategy.h"
+#include "strategy/identity_strategy.h"
 #include "strategy/query_strategy.h"
 
 #ifndef DPCUBE_TEST_SOURCE_DIR
@@ -147,6 +148,36 @@ TEST(GoldenReleaseTest, MixedQ2ClusterOptimal) {
   RunGoldenCase<strategy::ClusterStrategy>(
       dataset, marginal::WorkloadQk(schema, 2), 0.7,
       /*release_seed=*/13, "mixed_q2_cplus_seed13");
+}
+
+// The measurement of the true marginals and Fourier coefficients picks a
+// dense or a sparse route from the data's shape (marginal/projection.h).
+// The 2k-row NLTCS case above takes the sparse route; the 50k-row NLTCS
+// cases below fill enough of the 16-bit domain to take the dense one, and
+// the 23-bit Adult case is always sparse. Both routes must reproduce
+// these bytes exactly.
+TEST(GoldenReleaseTest, Nltcs50kQ2FourierOptimal) {
+  Rng data_rng(21);
+  const data::Dataset dataset = data::MakeNltcsLike(50000, &data_rng);
+  RunGoldenCase<strategy::FourierStrategy>(
+      dataset, marginal::WorkloadQk(dataset.schema(), 2), 0.5,
+      /*release_seed=*/21, "nltcs50k_q2_fplus_seed21");
+}
+
+TEST(GoldenReleaseTest, Nltcs50kQ2Identity) {
+  Rng data_rng(21);
+  const data::Dataset dataset = data::MakeNltcsLike(50000, &data_rng);
+  RunGoldenCase<strategy::IdentityStrategy>(
+      dataset, marginal::WorkloadQk(dataset.schema(), 2), 0.5,
+      /*release_seed=*/22, "nltcs50k_q2_i_seed22");
+}
+
+TEST(GoldenReleaseTest, AdultQ2FourierOptimal) {
+  Rng data_rng(23);
+  const data::Dataset dataset = data::MakeAdultLike(5000, &data_rng);
+  RunGoldenCase<strategy::FourierStrategy>(
+      dataset, marginal::WorkloadQk(dataset.schema(), 2), 1.0,
+      /*release_seed=*/23, "adult_q2_fplus_seed23");
 }
 
 }  // namespace

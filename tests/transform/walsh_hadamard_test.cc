@@ -67,6 +67,38 @@ TEST(WalshHadamardTest, MatchesDirectCoefficient) {
   }
 }
 
+// The butterfly stages alone only add and subtract, so an integer vector
+// transforms exactly (every partial sum is an integer far below 2^53) and
+// a second application returns 2^d x exactly — on both the sequential and
+// the blocked parallel path.
+TEST(WalshHadamardTest, UnscaledIsExactOnIntegers) {
+  Rng rng(6);
+  for (int d : {0, 1, 4, 9, 15}) {
+    for (int threads : {1, 8}) {
+      ThreadPool::ResetSharedPoolForTests(threads);
+      const std::size_t n = std::size_t{1} << d;
+      std::vector<double> x(n);
+      for (double& v : x) {
+        v = static_cast<double>(rng.NextUint64() % 2001) - 1000.0;
+      }
+      std::vector<double> y = x;
+      WalshHadamardUnscaled(&y);
+      for (bits::Mask alpha = 0; alpha < n; alpha += 1 + n / 64) {
+        double exact = 0.0;  // Integer sum in any order is exact.
+        for (std::size_t b = 0; b < n; ++b) {
+          exact += bits::FourierSign(alpha, b) * x[b];
+        }
+        ASSERT_EQ(y[alpha], exact) << "d=" << d << " alpha=" << alpha;
+      }
+      WalshHadamardUnscaled(&y);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(y[i], std::ldexp(x[i], d)) << "d=" << d << " i=" << i;
+      }
+    }
+  }
+  ThreadPool::ResetSharedPoolForTests(2);
+}
+
 TEST(WalshHadamardTest, MatchesDenseMatrix) {
   Rng rng(4);
   const int d = 5;
