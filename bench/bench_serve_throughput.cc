@@ -395,7 +395,7 @@ int main(int argc, char** argv) {
       }
     }
     // Observability tax: full /metrics scrapes over the HTTP endpoint
-    // that rides the same poll loop. Latency and exposition size are
+    // on the acceptor's event loop. Latency and exposition size are
     // CI-gated next to the serving rows — a scrape must stay cheap
     // enough to run on a tight interval without denting query traffic.
     {

@@ -60,10 +60,4 @@ bool WriteWakeByte(int fd) {
   }
 }
 
-void DrainWakeBytes(int fd) {
-  char buf[256];
-  while (::read(fd, buf, sizeof(buf)) > 0) {
-  }
-}
-
 }  // namespace dpcube

@@ -1,7 +1,7 @@
 // Copyright 2026 The dpcube Authors.
 //
 // RAII ownership of POSIX file descriptors, shared by the network
-// subsystem (sockets, self-pipes) and the CLI's signal plumbing. A
+// subsystem (sockets) and the CLI's signal plumbing. A
 // UniqueFd is to `int fd` what unique_ptr is to a raw pointer: move-only,
 // closes on destruction, and makes every ownership transfer explicit —
 // the historical fd bugs (double close, leak on early return, close of a
@@ -45,11 +45,10 @@ class UniqueFd {
   int fd_ = -1;
 };
 
-/// A pipe with both ends owned, O_CLOEXEC, and the read end non-blocking
-/// — the shape every self-pipe wakeup in the server needs. Holding both
-/// ends in one object means a late writer (a worker finishing after the
-/// event loop exited) can never hit EPIPE: the read end lives as long as
-/// the write end does.
+/// A pipe with both ends owned, O_CLOEXEC, and both ends non-blocking —
+/// the shape a self-pipe wakeup (the shutdown-signal pipe) needs.
+/// Holding both ends in one object means a late writer can never hit
+/// EPIPE: the read end lives as long as the write end does.
 struct Pipe {
   UniqueFd read_end;
   UniqueFd write_end;
@@ -65,10 +64,6 @@ Status SetNonBlocking(int fd);
 /// pending wakeup). Async-signal-safe. Returns false only on a real
 /// error.
 bool WriteWakeByte(int fd);
-
-/// Reads and discards everything buffered in a non-blocking `fd`
-/// (drains coalesced wakeups).
-void DrainWakeBytes(int fd);
 
 }  // namespace dpcube
 

@@ -2,7 +2,7 @@
 //
 // Self-pipe shutdown signalling for the serving CLI: SIGINT/SIGTERM
 // handlers that do the only async-signal-safe thing — write one byte to
-// a pipe — so the server's poll loop observes the request as a readable
+// a pipe — so the server's event loop observes the request as a readable
 // fd and can drain in-flight work before exiting, instead of dying
 // mid-response.
 
@@ -14,7 +14,7 @@
 namespace dpcube {
 
 /// Installs SIGINT and SIGTERM handlers that write to an internal
-/// self-pipe, and returns the pipe's read end (poll it for POLLIN; do
+/// self-pipe, and returns the pipe's read end (watch it for readability; do
 /// not close it — the process owns it for its lifetime). Idempotent:
 /// repeated calls return the same fd. The handlers replace any previous
 /// disposition for those two signals.

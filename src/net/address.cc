@@ -11,6 +11,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <utility>
+
 namespace dpcube {
 namespace net {
 
@@ -120,6 +122,50 @@ Result<UniqueFd> ConnectTcp(const std::string& host, std::uint16_t port) {
     return ErrnoStatus("connect " + host + ":" + std::to_string(port));
   }
   return fd;
+}
+
+Acceptor::Acceptor(EventLoop* loop, int listen_fd,
+                   std::function<void(UniqueFd)> on_accept)
+    : loop_(loop), fd_(listen_fd), on_accept_(std::move(on_accept)) {
+  Sync();
+}
+
+Acceptor::~Acceptor() {
+  loop_->CancelTimer(&backoff_);
+  loop_->Unwatch(fd_);
+}
+
+void Acceptor::BackOff(std::chrono::milliseconds window) {
+  loop_->CancelTimer(&backoff_);
+  backoff_ = loop_->AddTimer(EventLoop::Clock::now() + window, [this] {
+    backoff_ = EventLoop::TimerId{};
+    Sync();
+  });
+  Sync();
+}
+
+void Acceptor::Sync() {
+  if (wanted() == watched()) return;
+  if (!wanted()) {
+    loop_->Unwatch(fd_);
+    return;
+  }
+  const Status ok = loop_->Watch(fd_, EPOLLIN, [this](std::uint32_t) {
+    while (wanted()) {  // `on_accept` may Pause.
+      const int fd =
+          ::accept4(fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+      if (fd >= 0) {
+        on_accept_(UniqueFd(fd));
+      } else if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+                 errno == ENOMEM) {
+        BackOff(kBackoff);
+        return;
+      } else if (errno != EINTR) {
+        return;  // EAGAIN (drained) or a transient error.
+      }
+    }
+  });
+  if (!ok.ok()) BackOff(kBackoff);  // No kernel memory for the watch.
 }
 
 }  // namespace net

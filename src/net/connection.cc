@@ -3,7 +3,7 @@
 #include "net/connection.h"
 
 #include <errno.h>
-#include <poll.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -75,11 +75,11 @@ Connection::~Connection() {
   }
 }
 
-short Connection::PollEvents() const {
+std::uint32_t Connection::Interest() const {
   if (dead_) return 0;
-  short events = 0;
-  if (!draining_ && !read_eof_ && !sent_decode_error_) events |= POLLIN;
-  if (write_offset_ < write_buffer_.size()) events |= POLLOUT;
+  std::uint32_t events = 0;
+  if (!draining_ && !read_eof_ && !sent_decode_error_) events |= EPOLLIN;
+  if (write_offset_ < write_buffer_.size()) events |= EPOLLOUT;
   return events;
 }
 
@@ -214,7 +214,7 @@ void Connection::Execute(const std::shared_ptr<Slot>& slot) {
     if (!keep_going) quit_seen_ = true;
   }
   admission_->ReleaseRequest();
-  // The poll loop flushes the response and dispatches the next slot.
+  // The poller's loop flushes the response and dispatches the next slot.
   wakeup_();
 }
 

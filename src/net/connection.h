@@ -4,14 +4,18 @@
 // request slots, the write buffer, and a private ServeSession. The
 // design splits work rigidly between two kinds of threads:
 //
-//   network thread (the owning Poller's loop — each connection is
+//   network thread (the owning Poller's event loop — each connection is
 //     pinned to exactly one poller for its lifetime) — reads bytes,
 //     decodes frames, runs admission, dispatches slots, flushes
-//     completed responses, closes the socket. Never computes.
+//     completed responses, closes the socket. Never computes. The
+//     socket is registered with the loop once; its interest (Interest())
+//     changes only when write backpressure turns on or off, or when
+//     reading ends (EOF, drain, decode error).
 //   pool workers (ThreadPool::Shared via the ServeContext) — execute
 //     one admitted frame at a time per connection through the session
 //     (which may fan a batch out across the same pool), fill the slot,
-//     and wake the poll loop.
+//     and call the wakeup, which posts this one connection back to its
+//     poller's loop.
 //
 // Invariant the whole protocol rests on: every request frame gets
 // EXACTLY ONE response frame, and response frames leave in request
@@ -98,11 +102,11 @@ class Connection : public std::enable_shared_from_this<Connection> {
  public:
   /// `wakeup` must be callable from any thread for as long as any
   /// Connection or its in-flight pool tasks exist (the owning poller
-  /// hands out a closure over its shared wake pipe). `linger` is the
-  /// owning poller's linger set: on an orderly close the destructor
-  /// parks the fd there so the final flushed response survives
-  /// pipelined input (see linger.h); nullptr falls back to a plain
-  /// close.
+  /// hands out a closure that posts to its loop, dropped once that loop
+  /// has stopped). `linger` is the owning poller's linger set: on an
+  /// orderly close the destructor parks the fd there so the final
+  /// flushed response survives pipelined input (see linger.h); nullptr
+  /// falls back to a plain close.
   Connection(UniqueFd fd, std::uint64_t id, const ServeContext& context,
              std::shared_ptr<AdmissionController> admission,
              std::function<void()> wakeup, std::size_t max_frame_payload,
@@ -115,16 +119,16 @@ class Connection : public std::enable_shared_from_this<Connection> {
   int fd() const { return fd_.get(); }
   std::uint64_t id() const { return id_; }
 
-  /// POLLIN/POLLOUT interest for the next poll cycle. 0 = nothing to
-  /// wait for (the connection is finished or fully blocked on workers).
-  short PollEvents() const;
+  /// EPOLLIN/EPOLLOUT interest on the socket. 0 = nothing to wait for
+  /// (the connection is finished or fully blocked on workers).
+  std::uint32_t Interest() const;
 
-  /// Network-thread entry points, driven by poll results.
+  /// Network-thread entry points, driven by socket readiness.
   void OnReadable();
   void OnWritable();
 
   /// Moves completed responses (in FIFO order) into the write buffer and
-  /// writes what the socket accepts. Called every loop iteration.
+  /// writes what the socket accepts. Called on each worker wakeup.
   void Pump();
 
   /// Enters drain: stop reading, let admitted work finish, flush, close.

@@ -4,6 +4,7 @@
 
 #include <errno.h>
 #include <stdio.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <time.h>
 
@@ -103,7 +104,7 @@ std::string HeaderValue(const std::string& raw, const std::string& name) {
 HttpEndpoint::HttpEndpoint(std::string listen_address)
     : listen_address_(std::move(listen_address)) {}
 
-HttpEndpoint::~HttpEndpoint() = default;
+HttpEndpoint::~HttpEndpoint() { Detach(); }
 
 void HttpEndpoint::AddRoute(const std::string& path, Handler handler,
                             bool requires_auth) {
@@ -122,92 +123,72 @@ std::string HttpEndpoint::bound_address() const {
   return host_ + ":" + std::to_string(bound_port_);
 }
 
-void HttpEndpoint::AppendPollFds(std::vector<struct pollfd>* fds) {
-  poll_base_ = fds->size();
-  listener_polled_ = listen_fd_.valid() &&
-                     connections_.size() <
-                         static_cast<std::size_t>(kMaxConnections) &&
-                     std::chrono::steady_clock::now() >=
-                         accept_retry_after_;
-  if (listener_polled_) fds->push_back({listen_fd_.get(), POLLIN, 0});
-  for (const auto& [fd, conn] : connections_) {
-    fds->push_back(
-        {fd, static_cast<short>(conn->responding ? POLLOUT : POLLIN), 0});
-  }
-  poll_count_ = fds->size() - poll_base_;
-  linger_.AppendPollFds(fds);  // Tracks its own range past ours.
+void HttpEndpoint::Attach(EventLoop* loop, std::shared_ptr<LingerSet> linger) {
+  loop_ = loop;
+  linger_ = std::move(linger);
+  acceptor_ = std::make_unique<Acceptor>(
+      loop_, listen_fd_.get(),
+      [this](UniqueFd fd) { OnAccept(std::move(fd)); });
 }
 
-void HttpEndpoint::DispatchEvents(const std::vector<struct pollfd>& fds) {
-  std::size_t i = poll_base_;
-  const std::size_t end = poll_base_ + poll_count_;
-  if (listener_polled_ && i < end) {
-    if (fds[i].revents & POLLIN) AcceptPending();
-    ++i;
+void HttpEndpoint::Detach() {
+  if (loop_ == nullptr) return;
+  acceptor_.reset();
+  for (auto& [fd, conn] : connections_) {
+    loop_->Unwatch(fd);
+    loop_->CancelTimer(&conn->timeout);
   }
-  for (; i < end && i < fds.size(); ++i) {
-    const auto it = connections_.find(fds[i].fd);
-    if (it == connections_.end()) continue;
-    Conn* conn = it->second.get();
-    const short revents = fds[i].revents;
-    if (revents & (POLLERR | POLLHUP | POLLNVAL)) {
-      if (!(revents & POLLIN)) {  // Dead with nothing left to read.
-        connections_.erase(it);
-        continue;
-      }
-    }
-    if (!conn->responding && (revents & POLLIN)) OnReadable(conn);
-    if (conn->responding && (revents & (POLLOUT | POLLIN))) OnWritable(conn);
-    if (conn->responding && conn->written >= conn->out.size()) {
-      // Lingering close: FIN first and wait (bounded, polled) for the
-      // peer's FIN before closing, so an early answer to a request the
-      // peer is still sending (431, bare request line) is never
-      // destroyed by the RST a close-with-unread-bytes would send.
-      if (!conn->out.empty()) linger_.Add(std::move(conn->fd));
-      connections_.erase(it);
-    }
-  }
-  linger_.DispatchEvents(fds);
+  connections_.clear();
+  loop_ = nullptr;
 }
 
-void HttpEndpoint::PumpTimeouts() {
-  const auto now = std::chrono::steady_clock::now();
-  for (auto it = connections_.begin(); it != connections_.end();) {
-    if (now >= it->second->deadline) {
-      // Too slow, whether mid-request or mid-response: close without
-      // ceremony. A half-open peer cannot hold a slot past the budget.
-      it = connections_.erase(it);
-    } else {
-      ++it;
-    }
+void HttpEndpoint::OnAccept(UniqueFd fd) {
+  auto conn = std::make_unique<Conn>();
+  Conn* raw = conn.get();
+  const int key = fd.get();
+  conn->fd = std::move(fd);
+  const Status watched =
+      loop_->Watch(key, EPOLLIN, [this, raw](std::uint32_t events) {
+        OnEvents(raw, events);
+      });
+  if (!watched.ok()) return;  // Closes via RAII.
+  // Too slow, whether mid-request or mid-response: close without
+  // ceremony. A half-open peer cannot hold a slot past the budget.
+  conn->timeout = loop_->AddTimer(
+      EventLoop::Clock::now() + kRequestTimeout,
+      [this, raw] { Close(raw, /*linger=*/false); });
+  connections_.emplace(key, std::move(conn));
+  if (connections_.size() >= static_cast<std::size_t>(kMaxConnections)) {
+    acceptor_->Pause();
   }
-  linger_.PumpTimeouts();
 }
 
-void HttpEndpoint::AcceptPending() {
-  while (connections_.size() < static_cast<std::size_t>(kMaxConnections)) {
-    const int raw = ::accept(listen_fd_.get(), nullptr, nullptr);
-    if (raw < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
-          errno == ENOMEM) {
-        // Fd/memory exhaustion: the pending connection stays in the
-        // backlog and the listener stays readable, so back off instead
-        // of spinning on accept failures (mirrors the protocol
-        // listener's accept_retry_after_).
-        accept_retry_after_ = std::chrono::steady_clock::now() +
-                              std::chrono::milliseconds(100);
-      }
-      return;  // EAGAIN (drained) or a transient error; poll retries.
-    }
-    UniqueFd fd(raw);
-    if (!SetNonBlocking(fd.get()).ok()) continue;  // Closes via RAII.
-    auto conn = std::make_unique<Conn>();
-    const int key = fd.get();
-    conn->fd = std::move(fd);
-    conn->deadline = std::chrono::steady_clock::now() + kRequestTimeout;
-    connections_.emplace(key, std::move(conn));
+void HttpEndpoint::OnEvents(Conn* conn, std::uint32_t events) {
+  if ((events & (EPOLLERR | EPOLLHUP)) && !(events & EPOLLIN)) {
+    Close(conn, /*linger=*/false);  // Dead with nothing left to read.
+    return;
   }
+  if (!conn->responding && (events & EPOLLIN)) OnReadable(conn);
+  if (conn->responding && (events & EPOLLOUT)) OnWritable(conn);
+  if (!conn->responding) return;
+  if (conn->written >= conn->out.size()) {
+    // Lingering close: FIN first and wait (bounded, on the loop) for the
+    // peer's FIN before closing, so an early answer to a request the
+    // peer is still sending (431, bare request line) is never
+    // destroyed by the RST a close-with-unread-bytes would send.
+    Close(conn, /*linger=*/!conn->out.empty());
+    return;
+  }
+  loop_->Modify(conn->fd.get(), EPOLLOUT);
+}
+
+void HttpEndpoint::Close(Conn* conn, bool linger) {
+  const int fd = conn->fd.get();
+  loop_->Unwatch(fd);
+  loop_->CancelTimer(&conn->timeout);
+  if (linger) linger_->Add(std::move(conn->fd));
+  connections_.erase(fd);  // Destroys *conn.
+  acceptor_->Resume();     // Below the cap again.
 }
 
 void HttpEndpoint::OnReadable(Conn* conn) {
@@ -293,7 +274,7 @@ void HttpEndpoint::BeginResponse(Conn* conn, const HttpResponse& response) {
   conn->out = EncodeHttpResponse(response);
   conn->written = 0;
   conn->responding = true;
-  OnWritable(conn);  // Opportunistic first flush; poll covers the rest.
+  OnWritable(conn);  // Opportunistic first flush; EPOLLOUT covers the rest.
 }
 
 void HttpEndpoint::OnWritable(Conn* conn) {

@@ -6,23 +6,21 @@
 // Connection: close on every response; no keep-alive, chunking, TLS, or
 // content negotiation.
 //
-// It owns no thread: SocketListener splices the endpoint's fds into its
-// existing poll set each cycle (AppendPollFds / DispatchEvents /
-// PumpTimeouts), so HTTP is served by the network thread between
-// protocol frames and NEVER touches the compute pool — a scrape can
-// observe an overloaded server precisely because it does not queue
-// behind the overload. Handlers therefore must be cheap and
-// non-blocking (render a string, read atomics).
+// It owns no thread: Attach() puts it on an existing event loop — in the
+// server, the acceptor's, where it shares the linger set of the BUSY
+// goodbyes — so HTTP is served by a network thread and NEVER touches
+// the compute pool: a scrape can observe an overloaded server precisely
+// because it does not queue behind the overload. Handlers therefore
+// must be cheap and non-blocking (render a string, read atomics).
 //
-// Hostility budget: at most kMaxConnections sockets, kMaxRequestBytes
-// of buffered request, and kRequestTimeout of wall time per connection;
-// a peer exceeding any of these is answered (where possible) and
-// closed, without ever stalling the poll loop.
+// Hostility budget: at most kMaxConnections sockets (the listener is
+// unwatched while at the cap), kMaxRequestBytes of buffered request,
+// and kRequestTimeout of wall time per connection (one loop timer
+// each); a peer exceeding any of these is answered (where possible) and
+// closed, without ever stalling the loop.
 
 #ifndef DPCUBE_NET_HTTP_ENDPOINT_H_
 #define DPCUBE_NET_HTTP_ENDPOINT_H_
-
-#include <poll.h>
 
 #include <chrono>
 #include <cstdint>
@@ -30,10 +28,11 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/fd.h"
 #include "common/status.h"
+#include "net/address.h"
+#include "net/event_loop.h"
 #include "net/linger.h"
 
 namespace dpcube {
@@ -67,7 +66,7 @@ class HttpEndpoint {
   HttpEndpoint& operator=(const HttpEndpoint&) = delete;
 
   /// Registers `handler` for exact path `path` ("/metrics"). Handlers
-  /// run on the polling thread; register everything before Start().
+  /// run on the loop thread; register everything before Attach().
   /// With `requires_auth` and a bearer token configured, requests must
   /// carry "Authorization: Bearer <token>" or are answered 401 without
   /// reaching the handler (no token configured = route stays open).
@@ -86,33 +85,24 @@ class HttpEndpoint {
   std::uint16_t bound_port() const { return bound_port_; }
   std::string bound_address() const;
 
-  // --- Poll-loop splice (single-threaded with the caller's loop) ---
+  /// Serves on `loop` from now on, parking answered sockets in
+  /// `linger` (a set on the same loop). Call on the loop thread, after
+  /// Start(); `loop` must outlive the endpoint or its Detach().
+  void Attach(EventLoop* loop, std::shared_ptr<LingerSet> linger);
 
-  /// Appends the listen fd and every live connection's fd (with the
-  /// events each currently needs) to `fds`, remembering the range so
-  /// DispatchEvents can find its entries after poll() returns.
-  void AppendPollFds(std::vector<struct pollfd>* fds);
+  /// Stops accepting and drops every live connection. Loop thread;
+  /// idempotent (the destructor calls it).
+  void Detach();
 
-  /// Consumes the readiness poll() reported for the fds appended by the
-  /// matching AppendPollFds call: accepts, reads, routes, writes, and
-  /// closes as far as each socket allows without blocking.
-  void DispatchEvents(const std::vector<struct pollfd>& fds);
-
-  /// Closes connections that outlived kRequestTimeout. Call once per
-  /// loop cycle; the caller's poll timeout bounds the enforcement lag.
-  void PumpTimeouts();
-
-  /// Live connection count (tests).
+  /// Live connection count. Loop thread.
   std::size_t connection_count() const { return connections_.size(); }
-  /// Fds in lingering close, FIN sent and waiting for the peer's
-  /// (tests).
-  std::size_t lingering_count() const { return linger_.size(); }
+  /// Whether the listener is in the loop's watch set. Loop thread.
+  bool accepting() const { return acceptor_ && acceptor_->watched(); }
 
   /// Forces the accept-backoff window (tests exercise the EMFILE path
-  /// without exhausting real fds).
-  void set_accept_retry_after_for_tests(
-      std::chrono::steady_clock::time_point instant) {
-    accept_retry_after_ = instant;
+  /// without exhausting real fds). Loop thread, while attached.
+  void BackOffAcceptForTests(std::chrono::milliseconds window) {
+    acceptor_->BackOff(window);
   }
 
  private:
@@ -122,10 +112,13 @@ class HttpEndpoint {
     std::string out;       ///< Encoded response being flushed.
     std::size_t written = 0;
     bool responding = false;  ///< Response built; now write-and-close.
-    std::chrono::steady_clock::time_point deadline;
+    EventLoop::TimerId timeout;  ///< kRequestTimeout after accept.
   };
 
-  void AcceptPending();
+  void OnAccept(UniqueFd fd);
+  void OnEvents(Conn* conn, std::uint32_t events);
+  /// Unwatches and forgets `conn`; its fd lingers when `linger`.
+  void Close(Conn* conn, bool linger);
   /// Reads what is available; on a complete (or hopeless) request,
   /// builds the response and flips the connection to writing.
   void OnReadable(Conn* conn);
@@ -147,18 +140,11 @@ class HttpEndpoint {
   std::map<std::string, Route> routes_;
   std::string bearer_token_;
   std::map<int, std::unique_ptr<Conn>> connections_;  ///< By fd.
+  EventLoop* loop_ = nullptr;  ///< Set while attached.
   /// Fully-responded sockets waiting out their FIN-before-close grace
-  /// (see linger.h); spliced into the same poll cycle.
-  LingerSet linger_;
-  // Range of `fds` this endpoint appended in the current cycle.
-  std::size_t poll_base_ = 0;
-  std::size_t poll_count_ = 0;
-  bool listener_polled_ = false;
-  /// After accept() fails on fd/memory exhaustion, the listen fd is
-  /// left out of the poll set until this instant — the same 100ms
-  /// backoff the protocol listener applies, because a level-triggered
-  /// readable listener we cannot accept from would busy-spin the loop.
-  std::chrono::steady_clock::time_point accept_retry_after_{};
+  /// (see linger.h).
+  std::shared_ptr<LingerSet> linger_;
+  std::unique_ptr<Acceptor> acceptor_;
 };
 
 }  // namespace net

@@ -4,7 +4,6 @@
 
 #include <errno.h>
 #include <sys/socket.h>
-#include <unistd.h>
 
 #include <utility>
 
@@ -27,66 +26,55 @@ void LingerSet::Add(UniqueFd fd) {
   if (!fd.valid()) return;
   ::shutdown(fd.get(), SHUT_WR);  // FIN rides behind the flushed bytes.
   if (DrainToEof(fd.get())) return;  // Peer already FIN'd: close via RAII.
-  const auto deadline = std::chrono::steady_clock::now() + timeout_;
-  sync::MutexLock lock(&mu_);
+  const auto deadline = EventLoop::Clock::now() + timeout_;
+  pending_.fetch_add(1, std::memory_order_acq_rel);
+  // std::function needs a copyable closure; the fd rides in a shared
+  // holder and closes with it if the loop drops the post.
+  auto holder = std::make_shared<UniqueFd>(std::move(fd));
+  loop_->Post([this, holder, deadline] {
+    pending_.fetch_sub(1, std::memory_order_acq_rel);
+    Register(std::move(*holder), deadline);
+  });
+}
+
+void LingerSet::Register(UniqueFd fd,
+                         EventLoop::Clock::time_point deadline) {
   const int key = fd.get();
-  entries_[key] = Entry{std::move(fd), deadline};
-}
-
-void LingerSet::AppendPollFds(std::vector<struct pollfd>* fds) {
-  sync::MutexLock lock(&mu_);
-  poll_base_ = fds->size();
-  for (const auto& [fd, entry] : entries_) {
-    fds->push_back({fd, POLLIN, 0});
+  const Status watched =
+      loop_->Watch(key, EPOLLIN, [this, key](std::uint32_t) {
+        if (DrainToEof(key)) Close(key);
+      });
+  if (!watched.ok()) {
+    MaybeDone();  // Closes via RAII: no memory left to linger with.
+    return;
   }
-  poll_count_ = fds->size() - poll_base_;
+  // The peer never FIN'd inside the window: close anyway (a possible
+  // RST, but bounded — the linger is a grace period, not a hostage
+  // situation).
+  const EventLoop::TimerId timer =
+      loop_->AddTimer(deadline, [this, key] { Close(key); });
+  entries_[key] = Entry{std::move(fd), timer};
 }
 
-void LingerSet::DispatchEvents(const std::vector<struct pollfd>& fds) {
-  sync::MutexLock lock(&mu_);
-  const std::size_t end = poll_base_ + poll_count_;
-  for (std::size_t i = poll_base_; i < end && i < fds.size(); ++i) {
-    if (!(fds[i].revents & (POLLIN | POLLERR | POLLHUP | POLLNVAL))) {
-      continue;
-    }
-    const auto it = entries_.find(fds[i].fd);
-    if (it == entries_.end()) continue;  // Added after the append; skip.
-    if (DrainToEof(it->second.fd.get())) entries_.erase(it);
-  }
+void LingerSet::Close(int fd) {
+  const auto it = entries_.find(fd);
+  if (it == entries_.end()) return;
+  loop_->Unwatch(fd);
+  loop_->CancelTimer(&it->second.deadline);
+  entries_.erase(it);
+  MaybeDone();
 }
 
-void LingerSet::PumpTimeouts() {
-  const auto now = std::chrono::steady_clock::now();
-  sync::MutexLock lock(&mu_);
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (now >= it->second.deadline) {
-      // The peer never FIN'd inside the window: close anyway (a
-      // possible RST, but bounded — the linger is a grace period, not
-      // a hostage situation).
-      it = entries_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+void LingerSet::WhenEmpty(std::function<void()> done) {
+  when_empty_ = std::move(done);
+  MaybeDone();
 }
 
-void LingerSet::DrainBlocking() {
-  for (;;) {
-    std::vector<struct pollfd> fds;
-    AppendPollFds(&fds);
-    if (fds.empty()) return;
-    // Short slices keep the deadline enforcement responsive even if
-    // the peer trickles bytes without ever closing.
-    const int rc = ::poll(fds.data(), fds.size(), /*timeout_ms=*/50);
-    if (rc < 0 && errno != EINTR) return;
-    if (rc > 0) DispatchEvents(fds);
-    PumpTimeouts();
-  }
-}
-
-std::size_t LingerSet::size() const {
-  sync::MutexLock lock(&mu_);
-  return entries_.size();
+void LingerSet::MaybeDone() {
+  if (!when_empty_ || !empty()) return;
+  std::function<void()> done = std::move(when_empty_);
+  when_empty_ = nullptr;
+  done();
 }
 
 }  // namespace net

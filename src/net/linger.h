@@ -14,31 +14,34 @@
 // returns EAGAIN immediately, the loop exits, and the close-with-unread
 // -data RST happens anyway whenever the peer pipelined past the goodbye.
 //
-// A LingerSet upholds the contract for real, without blocking the event
-// loop: Add() sends the FIN (SHUT_WR) and parks the fd in a small set
-// the owning poll loop keeps readable; inbound bytes are read and
-// discarded until the peer FINs in turn (recv returns 0) — only then is
-// the socket closed, with an empty receive buffer and no RST. A peer
-// that never FINs is cut off at a deadline (default 1s), so a hostile
-// client can hold at most one fd for one linger window.
+// A LingerSet upholds the contract for real, without blocking its event
+// loop: Add() sends the FIN (SHUT_WR) and parks the fd on the loop as a
+// level-triggered read handler plus one timer for its deadline; inbound
+// bytes are read and discarded until the peer FINs in turn (recv
+// returns 0) — only then is the socket closed, with an empty receive
+// buffer and no RST. A peer that never FINs is cut off when its timer
+// fires (default 1s after Add), so a hostile client can hold at most one
+// fd for one linger window.
 //
 // Threading: Add() is safe from any thread (a Connection's destructor
-// may run on a pool worker holding the last reference); the poll-splice
-// methods (AppendPollFds / DispatchEvents / PumpTimeouts /
-// DrainBlocking) must all be called from the single owning loop thread.
+// may run on a pool worker holding the last reference): it posts the
+// registration to the loop, which watches the fd at once. Everything
+// else runs on the loop thread. A loop that must not exit while
+// sockets still linger (a poller, the acceptor) asks WhenEmpty() to
+// stop it; the set must outlive every Run of its loop.
 
 #ifndef DPCUBE_NET_LINGER_H_
 #define DPCUBE_NET_LINGER_H_
 
-#include <poll.h>
-
+#include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <functional>
 #include <map>
-#include <vector>
+#include <memory>
 
 #include "common/fd.h"
-#include "common/sync.h"
+#include "net/event_loop.h"
 
 namespace dpcube {
 namespace net {
@@ -48,61 +51,56 @@ inline constexpr std::chrono::milliseconds kLingerTimeout{1000};
 
 class LingerSet {
  public:
-  explicit LingerSet(std::chrono::milliseconds timeout = kLingerTimeout)
-      : timeout_(timeout) {}
-  /// Closes every still-lingering fd (a set destroyed mid-linger gives
-  /// up the no-RST guarantee; callers that care run DrainBlocking
-  /// first).
+  explicit LingerSet(std::shared_ptr<EventLoop> loop,
+                     std::chrono::milliseconds timeout = kLingerTimeout)
+      : loop_(std::move(loop)), timeout_(timeout) {}
+  /// Closes every still-lingering fd (giving up the no-RST guarantee
+  /// for them; owners let WhenEmpty stop their loop first).
   ~LingerSet() = default;
 
   LingerSet(const LingerSet&) = delete;
   LingerSet& operator=(const LingerSet&) = delete;
 
   /// Half-closes `fd` (FIN after everything already written) and parks
-  /// it until the peer FINs or the deadline passes. May close
-  /// immediately when the peer's FIN already arrived. Thread-safe.
+  /// it until the peer FINs or the deadline passes. Closes at once when
+  /// the peer's FIN already arrived. Thread-safe; once the loop has
+  /// stopped, the fd is simply closed.
   void Add(UniqueFd fd);
 
-  // --- Poll-loop splice (owner thread only; same shape as
-  // HttpEndpoint's) ---
+  /// Calls `done` once nothing lingers and no Add is still on its way
+  /// to the loop: now, or when the last entry resolves. Loop thread.
+  void WhenEmpty(std::function<void()> done);
 
-  /// Appends every lingering fd with POLLIN interest.
-  void AppendPollFds(std::vector<struct pollfd>* fds);
-
-  /// Consumes readiness for the fds appended by the matching
-  /// AppendPollFds call: discards inbound bytes, closes on FIN/error.
-  void DispatchEvents(const std::vector<struct pollfd>& fds);
-
-  /// Closes entries whose deadline passed. Call once per loop cycle.
-  void PumpTimeouts();
-
-  /// Loop epilogue: polls the remaining entries by itself until all are
-  /// closed or timed out, so sockets still lingering when the owning
-  /// loop exits keep their no-RST guarantee. Bounded by the per-entry
-  /// deadlines (worst case one full linger timeout).
-  void DrainBlocking();
-
-  std::size_t size() const;
+  /// Lingering fds, counting registrations not yet on the loop. Loop
+  /// thread (or while no Run is in progress).
+  std::size_t size() const {
+    return entries_.size() + pending_.load(std::memory_order_acquire);
+  }
   bool empty() const { return size() == 0; }
 
  private:
   struct Entry {
     UniqueFd fd;
-    std::chrono::steady_clock::time_point deadline;
+    EventLoop::TimerId deadline;
   };
+
+  /// Loop side of Add: watch `fd` and arm its deadline timer.
+  void Register(UniqueFd fd, EventLoop::Clock::time_point deadline);
+  /// Unwatches and closes `fd`, then runs the WhenEmpty callback if due.
+  void Close(int fd);
+  void MaybeDone();
 
   /// Reads-and-discards until EAGAIN. True when the fd is finished
   /// (peer FIN or error) and should be closed.
   static bool DrainToEof(int fd);
 
+  const std::shared_ptr<EventLoop> loop_;
   const std::chrono::milliseconds timeout_;
-  mutable sync::Mutex mu_;
-  std::map<int, Entry> entries_ GUARDED_BY(mu_);
-  // Range of `fds` this set appended in the current cycle. Only the
-  // owning loop thread writes these, but they share mu_ with the map
-  // so cross-thread Add() and the splice methods stay one discipline.
-  std::size_t poll_base_ GUARDED_BY(mu_) = 0;
-  std::size_t poll_count_ GUARDED_BY(mu_) = 0;
+  /// Adds posted to the loop and not yet registered there.
+  std::atomic<std::size_t> pending_{0};
+  // Loop-thread state.
+  std::map<int, Entry> entries_;  ///< By fd.
+  std::function<void()> when_empty_;
 };
 
 }  // namespace net

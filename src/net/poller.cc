@@ -2,8 +2,7 @@
 
 #include "net/poller.h"
 
-#include <errno.h>
-#include <poll.h>
+#include <sys/epoll.h>
 
 #include <utility>
 
@@ -15,149 +14,110 @@ Poller::Poller(int id) : id_(id) {}
 Poller::~Poller() {
   if (thread_.joinable()) {
     BeginDrain(std::chrono::steady_clock::now());
-    RequestStop();
     thread_.join();
   }
 }
 
-Status Poller::Start() {
-  auto pipe = MakePipe();
-  if (!pipe.ok()) return pipe.status();
-  wake_pipe_ = std::make_shared<Pipe>(std::move(pipe).value());
-  thread_ = std::thread([this] { Run(); });
+Status Poller::Start(std::function<void()> on_exit) {
+  auto loop = EventLoop::Create();
+  if (!loop.ok()) return loop.status();
+  loop_ = std::move(loop).value();
+  linger_ = std::make_shared<LingerSet>(loop_);
+  thread_ = std::thread([this, on_exit = std::move(on_exit)] {
+    (void)loop_->Run();  // Fails only on a broken epoll fd; exit anyway.
+    connections_.clear();
+    connection_count_->store(0, std::memory_order_relaxed);
+    on_exit();
+  });
   return Status::OK();
 }
 
-void Poller::Wake() const {
-  if (wake_pipe_) WriteWakeByte(wake_pipe_->write_end.get());
-}
-
-std::function<void()> Poller::MakeWakeup() const {
-  auto pipe = wake_pipe_;
-  return [pipe] { WriteWakeByte(pipe->write_end.get()); };
+std::function<void()> Poller::MakeWakeup(std::uint64_t connection_id) {
+  // `poller` is dereferenced only inside the posted closure, which runs
+  // on the loop thread while the poller is alive, or never.
+  return [loop = loop_, poller = this, connection_id] {
+    loop->Post([poller, connection_id] {
+      const auto it = poller->connections_.find(connection_id);
+      if (it == poller->connections_.end()) return;  // Already retired.
+      it->second->Pump();
+      poller->Service(it->second.get());
+    });
+  };
 }
 
 void Poller::Adopt(std::shared_ptr<Connection> connection) {
   adopted_total_->fetch_add(1, std::memory_order_relaxed);
-  {
-    sync::MutexLock lock(&mu_);
-    inbox_.push_back(std::move(connection));
-  }
-  Wake();
+  loop_->Post([this, connection = std::move(connection)]() mutable {
+    Register(std::move(connection));
+  });
 }
 
 void Poller::BeginDrain(std::chrono::steady_clock::time_point deadline) {
-  {
-    sync::MutexLock lock(&mu_);
-    if (draining_.load(std::memory_order_relaxed)) return;
-    drain_deadline_ = deadline;
-    draining_.store(true, std::memory_order_release);
-  }
-  Wake();
-}
-
-void Poller::RequestStop() {
-  stop_requested_.store(true, std::memory_order_release);
-  Wake();
+  if (loop_) loop_->Post([this, deadline] { StartDrain(deadline); });
 }
 
 void Poller::Join() {
   if (thread_.joinable()) thread_.join();
 }
 
-void Poller::Run() {
-  using Clock = std::chrono::steady_clock;
-  for (;;) {
-    // Adopt handed-off connections; under drain, newly adopted ones are
-    // drained below like everyone else (the acceptor stops handing off
-    // before it broadcasts drain, but the inbox may already hold some).
-    {
-      sync::MutexLock lock(&mu_);
-      for (auto& connection : inbox_) {
-        connections_.emplace(connection->fd(), std::move(connection));
-      }
-      inbox_.clear();
-    }
-    const bool draining = draining_.load(std::memory_order_acquire);
-    Clock::time_point drain_deadline;
-    if (draining) {
-      {
-        sync::MutexLock lock(&mu_);
-        drain_deadline = drain_deadline_;
-      }
-      // Idempotent per connection; repeating each cycle catches ones
-      // adopted after the broadcast.
-      for (auto& [fd, connection] : connections_) {
-        connection->BeginDrain();
-      }
-    }
-
-    std::vector<struct pollfd> fds;
-    std::vector<Connection*> polled;  // Parallel to fds from conn_base.
-    fds.push_back({wake_pipe_->read_end.get(), POLLIN, 0});
-    const std::size_t conn_base = fds.size();
-    for (auto& [fd, connection] : connections_) {
-      const short events = connection->PollEvents();
-      if (events == 0) continue;  // Blocked on a worker; wake pipe covers it.
-      fds.push_back({fd, events, 0});
-      polled.push_back(connection.get());
-    }
-    const std::size_t conn_end = fds.size();
-    if (http_) http_->AppendPollFds(&fds);
-    linger_->AppendPollFds(&fds);
-
-    const int rc = ::poll(fds.data(), fds.size(), /*timeout_ms=*/100);
-    if (rc < 0 && errno != EINTR) {
-      // A loop thread has no status channel; throttle so a persistent
-      // poll failure (cannot happen with valid fds) degrades to an idle
-      // tick instead of a hot spin.
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-
-    if (fds[0].revents & POLLIN) {
-      DrainWakeBytes(wake_pipe_->read_end.get());
-    }
-    if (rc > 0) {
-      for (std::size_t i = conn_base; i < conn_end; ++i) {
-        Connection* connection = polled[i - conn_base];
-        if (fds[i].revents & (POLLIN | POLLERR | POLLHUP)) {
-          connection->OnReadable();
-        }
-        if (fds[i].revents & POLLOUT) connection->OnWritable();
-      }
-      if (http_) http_->DispatchEvents(fds);
-      linger_->DispatchEvents(fds);
-    }
-    if (http_) http_->PumpTimeouts();
-    linger_->PumpTimeouts();
-
-    // Pump everything each cycle: worker completions arrive via the
-    // wake pipe, not via socket readiness.
-    for (auto it = connections_.begin(); it != connections_.end();) {
-      it->second->Pump();
-      if (it->second->Finished()) {
-        it = connections_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    connection_count_->store(connections_.size(),
-                             std::memory_order_relaxed);
-
-    if (draining) {
-      const bool drained =
-          connections_.empty() &&
-          (http_ == nullptr ||
-           stop_requested_.load(std::memory_order_acquire));
-      if (drained || Clock::now() >= drain_deadline) break;
-    }
+void Poller::Register(std::shared_ptr<Connection> connection) {
+  Connection* raw = connection.get();
+  const Status watched = loop_->Watch(
+      raw->fd(), raw->Interest(), [this, raw](std::uint32_t events) {
+        if (events & (EPOLLIN | EPOLLERR | EPOLLHUP)) raw->OnReadable();
+        if (events & (EPOLLOUT | EPOLLERR | EPOLLHUP)) raw->OnWritable();
+        Service(raw);
+      });
+  if (!watched.ok()) return;  // Dropped: the destructor closes the fd.
+  connections_.emplace(raw->id(), std::move(connection));
+  connection_count_->store(connections_.size(), std::memory_order_relaxed);
+  if (draining_) {
+    raw->BeginDrain();
+    Service(raw);
   }
-  connections_.clear();
-  connection_count_->store(0, std::memory_order_relaxed);
-  // Connections just destroyed parked their fds in the linger set; give
-  // the peers their bounded window so the last flushed responses still
-  // survive pipelined input (see linger.h).
-  linger_->DrainBlocking();
+}
+
+void Poller::Service(Connection* connection) {
+  if (connection->Finished()) {
+    Retire(connection->id());
+  } else {
+    loop_->Modify(connection->fd(), connection->Interest());
+  }
+}
+
+void Poller::Retire(std::uint64_t connection_id) {
+  const auto it = connections_.find(connection_id);
+  loop_->Unwatch(it->second->fd());
+  connections_.erase(it);  // The destructor parks the fd in linger_.
+  connection_count_->store(connections_.size(), std::memory_order_relaxed);
+  MaybeExit();
+}
+
+void Poller::StartDrain(std::chrono::steady_clock::time_point deadline) {
+  if (draining_) return;
+  draining_ = true;
+  drain_deadline_ = loop_->AddTimer(deadline, [this] {
+    // Out of time: drop what is left; the destructors still linger.
+    drain_deadline_ = EventLoop::TimerId{};
+    for (const auto& [id, connection] : connections_) {
+      loop_->Unwatch(connection->fd());
+    }
+    connections_.clear();
+    connection_count_->store(0, std::memory_order_relaxed);
+    MaybeExit();
+  });
+  for (auto it = connections_.begin(); it != connections_.end();) {
+    Connection* connection = (it++)->second.get();  // Service may erase it.
+    connection->BeginDrain();
+    Service(connection);
+  }
+  MaybeExit();
+}
+
+void Poller::MaybeExit() {
+  if (!draining_ || !connections_.empty()) return;
+  loop_->CancelTimer(&drain_deadline_);
+  linger_->WhenEmpty([this] { loop_->Stop(); });
 }
 
 }  // namespace net

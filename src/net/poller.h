@@ -1,37 +1,33 @@
 // Copyright 2026 The dpcube Authors.
 //
 // One event-loop poller thread of the multi-poller front end. The
-// SocketListener's accept loop admits sockets and hands each resulting
+// SocketListener's acceptor admits sockets and hands each resulting
 // Connection to one Poller chosen round-robin; from that moment the
 // connection is PINNED to that poller for its whole life — the poller's
 // thread is the only "network thread" that ever touches its read/decode
 // /dispatch/flush state, so the single-threaded discipline connection.h
 // documents still holds, just per poller instead of per process.
 //
-// Each poller owns:
-//   * a wake pipe — pool workers finishing a response (and the acceptor
-//     handing off a socket, and drain) poke it to interrupt poll();
-//   * the connections_ map for its pinned connections;
-//   * a LingerSet, shared with its connections, so a closing connection
-//     parks its fd there and this loop polls it to FIN (see linger.h);
-//   * optionally (poller 0 only) the HTTP observability endpoint,
-//     spliced into the loop exactly as it was spliced into the old
-//     single poll loop.
+// Each poller owns one EventLoop (see event_loop.h) and runs it on its
+// thread. On that loop live:
+//   * one persistent registration per pinned connection, re-registered
+//     only when the connection's interest changes;
+//   * every cross-thread handoff, as a posted closure: an adopted
+//     connection, the drain broadcast, and a pool worker's wakeup —
+//     which posts that one connection, never a sweep of all of them;
+//   * a LingerSet, shared with its connections, so a closing
+//     connection parks its fd on this loop until the peer's FIN (see
+//     linger.h).
 //
 // Compute still never runs here: sessions execute on the ServeContext's
-// ThreadPool, and a poller blocked in poll() costs nothing. Cross-
-// thread handoff of a new connection goes through a mutex-guarded inbox
-// (adopted at the top of each cycle), which is also the happens-before
-// edge that publishes the Connection's construction to the poller
-// thread.
+// ThreadPool, and a poller with nothing to do blocks in epoll_wait with
+// no timeout — it has no tick.
 //
 // Drain: the acceptor broadcasts BeginDrain(deadline) to every poller;
 // each drains its own connections (stop reading, finish admitted work,
-// flush, linger-close) and exits when they are gone or the deadline
-// passes. A poller carrying the HTTP endpoint keeps serving probes
-// until the acceptor calls RequestStop() after the other pollers have
-// drained — so /healthz returns the 503 for the whole drain window
-// instead of a refused connection.
+// flush, linger-close), drops what is left at the deadline, runs until
+// its linger set is empty, and then calls the `on_exit` hook it was
+// started with (the acceptor counts those down; see socket_listener.h).
 
 #ifndef DPCUBE_NET_POLLER_H_
 #define DPCUBE_NET_POLLER_H_
@@ -41,16 +37,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <thread>
-#include <vector>
+#include <unordered_map>
 
-#include "common/fd.h"
 #include "common/status.h"
-#include "common/sync.h"
 #include "net/connection.h"
-#include "net/http_endpoint.h"
+#include "net/event_loop.h"
 #include "net/linger.h"
 
 namespace dpcube {
@@ -59,7 +52,7 @@ namespace net {
 class Poller {
  public:
   explicit Poller(int id);
-  /// Joins the thread if the owner never drained it (sets an immediate
+  /// Joins the thread if the owner never drained it (posts an immediate
   /// deadline first, so destruction is bounded).
   ~Poller();
 
@@ -68,37 +61,32 @@ class Poller {
 
   int id() const { return id_; }
 
-  /// Creates the wake pipe and spawns the loop thread. Call once.
-  Status Start();
+  /// Creates the loop and linger set and spawns the loop thread, which
+  /// calls `on_exit` once the loop has stopped. Call once.
+  Status Start(std::function<void()> on_exit);
 
-  /// Hands a freshly admitted connection to this poller (acceptor
-  /// thread). The connection must have been built with this poller's
-  /// MakeWakeup() closure and linger() set.
+  /// Hands a freshly admitted connection to this poller (any thread).
+  /// The connection must have been built with this poller's
+  /// MakeWakeup(its id) closure and linger().
   void Adopt(std::shared_ptr<Connection> connection);
 
-  /// Splices `http` into this poller's loop (poller 0). Set before
-  /// Start(); `http` must outlive the poller thread.
-  void AttachHttp(HttpEndpoint* http) { http_ = http; }
-
   /// Thread-safe: stop reading, finish admitted work, flush, exit by
-  /// `deadline` at the latest. Idempotent.
+  /// `deadline` plus one linger window at the latest. Idempotent.
   void BeginDrain(std::chrono::steady_clock::time_point deadline);
-
-  /// Lets a drained HTTP-carrying poller exit (see file comment).
-  /// No-op for pollers without the endpoint.
-  void RequestStop();
 
   void Join();
 
-  /// A closure any thread may call to interrupt this poller's poll()
-  /// (valid after Start(); safe to call for as long as the returned
-  /// copy of the pipe lives, even past the poller itself).
-  std::function<void()> MakeWakeup() const;
+  /// The closure a pool worker calls when connection `connection_id`
+  /// has a response ready: it posts that connection's pump to this
+  /// poller's loop. Valid after Start(); safe to call from any thread
+  /// for as long as the copy lives, even past the poller itself (a
+  /// stopped loop drops the post).
+  std::function<void()> MakeWakeup(std::uint64_t connection_id);
 
-  /// The linger set this poller polls; connections park closing fds
-  /// here. Shared so a connection destroyed after the poller (a pool
-  /// task holding the last reference) still has somewhere safe to put
-  /// its fd — the set then closes it on destruction.
+  /// The linger set on this poller's loop; connections park closing
+  /// fds here. Shared so a connection destroyed after the poller (a
+  /// pool task holding the last reference) still has somewhere safe to
+  /// put its fd — with the loop stopped, the fd is simply closed.
   const std::shared_ptr<LingerSet>& linger() const { return linger_; }
 
   /// Connections currently pinned here (relaxed; exported as the
@@ -122,24 +110,27 @@ class Poller {
   }
 
  private:
-  void Run();
-  void Wake() const;
+  // Loop thread only.
+  void Register(std::shared_ptr<Connection> connection);
+  /// After any event on `connection`: retires it when finished, else
+  /// brings its registered interest up to date.
+  void Service(Connection* connection);
+  void Retire(std::uint64_t connection_id);
+  void StartDrain(std::chrono::steady_clock::time_point deadline);
+  /// Drained (or past the deadline) and nothing pinned: stop the loop
+  /// once the linger set is empty.
+  void MaybeExit();
 
   const int id_;
-  std::shared_ptr<Pipe> wake_pipe_;  ///< Shared with wakeup closures.
-  std::shared_ptr<LingerSet> linger_ = std::make_shared<LingerSet>();
-  HttpEndpoint* http_ = nullptr;
+  std::shared_ptr<EventLoop> loop_;
+  std::shared_ptr<LingerSet> linger_;
   std::thread thread_;
 
-  // Acceptor -> poller handoff (and drain signalling).
-  mutable sync::Mutex mu_;
-  std::vector<std::shared_ptr<Connection>> inbox_ GUARDED_BY(mu_);
-  std::chrono::steady_clock::time_point drain_deadline_ GUARDED_BY(mu_);
-  std::atomic<bool> draining_{false};
-  std::atomic<bool> stop_requested_{false};
-
-  // Loop-thread-only state.
-  std::map<int, std::shared_ptr<Connection>> connections_;  ///< By fd.
+  // Loop-thread state.
+  std::unordered_map<std::uint64_t, std::shared_ptr<Connection>>
+      connections_;  ///< By connection id.
+  bool draining_ = false;
+  EventLoop::TimerId drain_deadline_;
 
   std::shared_ptr<std::atomic<std::size_t>> connection_count_ =
       std::make_shared<std::atomic<std::size_t>>(0);

@@ -2,13 +2,10 @@
 
 #include "net/socket_listener.h"
 
-#include <errno.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
-#include <string.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
-#include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
@@ -223,8 +220,7 @@ SocketListener::SocketListener(ServerOptions options, ServeContext context)
       admission_(std::make_shared<AdmissionController>(options_.admission)),
       registry_(std::make_shared<metrics::Registry>()),
       draining_flag_(std::make_shared<std::atomic<bool>>(false)),
-      started_at_(std::chrono::steady_clock::now()),
-      busy_linger_(std::make_shared<LingerSet>()) {
+      started_at_(std::chrono::steady_clock::now()) {
   const int pollers = ResolveNetThreads(options_.net_threads);
   pollers_.reserve(static_cast<std::size_t>(pollers));
   for (int i = 0; i < pollers; ++i) {
@@ -537,9 +533,10 @@ void SocketListener::InstallHttpRoutes() {
 Status SocketListener::Start() {
   DPCUBE_RETURN_NOT_OK(
       ParseHostPort(options_.listen_address, &host_, &bound_port_));
-  auto pipe = MakePipe();
-  if (!pipe.ok()) return pipe.status();
-  wake_pipe_ = std::make_shared<Pipe>(std::move(pipe).value());
+  auto loop = EventLoop::Create();
+  if (!loop.ok()) return loop.status();
+  loop_ = std::move(loop).value();
+  busy_linger_ = std::make_shared<LingerSet>(loop_);
   auto fd = ListenTcp(host_, bound_port_, /*backlog=*/128, &bound_port_);
   if (!fd.ok()) return fd.status();
   listen_fd_ = std::move(fd).value();
@@ -576,208 +573,158 @@ std::uint64_t SocketListener::frames_received() const {
 
 void SocketListener::Shutdown() {
   shutdown_requested_.store(true);
-  if (wake_pipe_) WriteWakeByte(wake_pipe_->write_end.get());
+  if (loop_) loop_->Post([this] { BeginShutdown(); });
 }
 
-void SocketListener::AcceptPending() {
-  for (;;) {
-    const int raw = ::accept(listen_fd_.get(), nullptr, nullptr);
-    if (raw < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
-          errno == ENOMEM) {
-        // Fd/memory exhaustion: the pending connection stays in the
-        // backlog and the listener stays readable, so back off instead
-        // of spinning on accept failures.
-        accept_retry_after_ = std::chrono::steady_clock::now() +
-                              std::chrono::milliseconds(100);
-      }
-      return;  // EAGAIN (drained) or a transient accept error.
-    }
-    UniqueFd fd(raw);
-    if (!SetNonBlocking(fd.get()).ok()) continue;  // Closes via RAII.
-    const int one = 1;
-    ::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+void SocketListener::OnAccepted(UniqueFd fd) {
+  const int one = 1;
+  ::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
-    std::string busy_reason;
-    if (!admission_->TryAdmitConnection(&busy_reason)) {
-      // One structured goodbye, then a lingering close. The socket is
-      // fresh, so the tiny frame always fits the empty send buffer even
-      // non-blocking (a failed send still linger-closes; there is
-      // nothing more to say to a peer we cannot write). The linger set
-      // holds the FIN-before-close contract a pipelining client needs:
-      // close() with unread inbound bytes would turn into an RST that
-      // could destroy the goodbye before the client reads it.
-      const std::string frame = EncodeFrame("BUSY " + busy_reason + "\n");
-      (void)::send(fd.get(), frame.data(), frame.size(), MSG_NOSIGNAL);
-      busy_linger_->Add(std::move(fd));
-      continue;
-    }
-
-    // Pin the connection to the next poller round-robin: its wake pipe
-    // carries worker completions, its linger set the eventual close.
-    Poller& poller = *pollers_[next_poller_++ % pollers_.size()];
-    auto connection = std::make_shared<Connection>(
-        std::move(fd), next_connection_id_++, context_, admission_,
-        poller.MakeWakeup(), options_.max_frame_payload, poller.linger());
-    connection->session().SetServerStatsHandler(
-        [admission = admission_, frames = context_.trace_metrics,
-         cache = context_.cache, store = context_.store,
-         verbs = session_metrics_] {
-          return FormatStats(admission, frames, cache, store, verbs);
-        });
-    connection->session().SetMetrics(session_metrics_);
-    // Runtime `load` requests register their release's build-phase
-    // gauges too. Captures shared_ptrs only: the hook runs on pool
-    // workers and may fire after the listener is gone.
-    connection->session().SetReleaseLoadedHook(
-        [registry = registry_, store = context_.store](
-            const std::string& name) {
-          RegisterReleaseBuildGauges(registry.get(), store, name);
-        });
-    // With --state-dir, the mutating verbs (load/unload) route through
-    // the durable state machine: changelog-appended and fsync'd before
-    // they take effect. Captures shared_ptrs only (pool workers may run
-    // the handler after the listener is gone).
-    if (context_.durable) {
-      connection->session().SetMutationHandler(
-          [durable = context_.durable](const service::Mutation& mutation) {
-            return durable->Apply(mutation);
-          });
-    }
-    if (admission_->config().max_queries_per_release > 0 ||
-        admission_->config().query_rate_limit > 0) {
-      connection->session().SetQueryQuotaGate(
-          [admission = admission_, store = context_.store,
-           durable = context_.durable](const std::string& release,
-                                       std::string* denial) {
-            // Only loaded releases are metered: a query for an unknown
-            // name answers NotFound without charging quota, so hostile
-            // made-up names can never grow the quota ledger.
-            if (!store->Get(release).ok()) return true;
-            using QuotaDecision = AdmissionController::QuotaDecision;
-            const QuotaDecision decision =
-                admission->ChargeQuery(release, denial);
-            if (durable) {
-              // Charges AND denials are logged: quota_used and the
-              // denial counters both survive kill -9. If the append or
-              // fsync fails, a charge must fail the query — answering
-              // from a ledger that cannot persist would let a crash
-              // refund spent privacy budget.
-              const Status logged = durable->Apply(
-                  service::Mutation::QuotaCharge(
-                      release,
-                      decision == QuotaDecision::kCharged ? 1 : 0,
-                      decision == QuotaDecision::kDeniedLifetime ? 1 : 0,
-                      decision == QuotaDecision::kDeniedRate ? 1 : 0));
-              if (!logged.ok() && decision == QuotaDecision::kCharged) {
-                *denial =
-                    "durable quota ledger append failed: " +
-                    logged.ToString();
-                return false;
-              }
-            }
-            return decision == QuotaDecision::kCharged;
-          });
-    }
-    poller.Adopt(std::move(connection));
+  std::string busy_reason;
+  if (!admission_->TryAdmitConnection(&busy_reason)) {
+    // One structured goodbye, then a lingering close. The socket is
+    // fresh, so the tiny frame always fits the empty send buffer even
+    // non-blocking (a failed send still linger-closes; there is
+    // nothing more to say to a peer we cannot write). The linger set
+    // holds the FIN-before-close contract a pipelining client needs:
+    // close() with unread inbound bytes would turn into an RST that
+    // could destroy the goodbye before the client reads it.
+    const std::string frame = EncodeFrame("BUSY " + busy_reason + "\n");
+    (void)::send(fd.get(), frame.data(), frame.size(), MSG_NOSIGNAL);
+    busy_linger_->Add(std::move(fd));
+    return;
   }
+
+  // Pin the connection to the next poller round-robin: its loop gets
+  // the worker completions, its linger set the eventual close.
+  Poller& poller = *pollers_[next_poller_++ % pollers_.size()];
+  const std::uint64_t id = next_connection_id_++;
+  auto connection = std::make_shared<Connection>(
+      std::move(fd), id, context_, admission_, poller.MakeWakeup(id),
+      options_.max_frame_payload, poller.linger());
+  connection->session().SetServerStatsHandler(
+      [admission = admission_, frames = context_.trace_metrics,
+       cache = context_.cache, store = context_.store,
+       verbs = session_metrics_] {
+        return FormatStats(admission, frames, cache, store, verbs);
+      });
+  connection->session().SetMetrics(session_metrics_);
+  // Runtime `load` requests register their release's build-phase
+  // gauges too. Captures shared_ptrs only: the hook runs on pool
+  // workers and may fire after the listener is gone.
+  connection->session().SetReleaseLoadedHook(
+      [registry = registry_, store = context_.store](
+          const std::string& name) {
+        RegisterReleaseBuildGauges(registry.get(), store, name);
+      });
+  // With --state-dir, the mutating verbs (load/unload) route through
+  // the durable state machine: changelog-appended and fsync'd before
+  // they take effect. Captures shared_ptrs only (pool workers may run
+  // the handler after the listener is gone).
+  if (context_.durable) {
+    connection->session().SetMutationHandler(
+        [durable = context_.durable](const service::Mutation& mutation) {
+          return durable->Apply(mutation);
+        });
+  }
+  if (admission_->config().max_queries_per_release > 0 ||
+      admission_->config().query_rate_limit > 0) {
+    connection->session().SetQueryQuotaGate(
+        [admission = admission_, store = context_.store,
+         durable = context_.durable](const std::string& release,
+                                     std::string* denial) {
+          // Only loaded releases are metered: a query for an unknown
+          // name answers NotFound without charging quota, so hostile
+          // made-up names can never grow the quota ledger.
+          if (!store->Get(release).ok()) return true;
+          using QuotaDecision = AdmissionController::QuotaDecision;
+          const QuotaDecision decision =
+              admission->ChargeQuery(release, denial);
+          if (durable) {
+            // Charges AND denials are logged: quota_used and the
+            // denial counters both survive kill -9. If the append or
+            // fsync fails, a charge must fail the query — answering
+            // from a ledger that cannot persist would let a crash
+            // refund spent privacy budget.
+            const Status logged = durable->Apply(
+                service::Mutation::QuotaCharge(
+                    release,
+                    decision == QuotaDecision::kCharged ? 1 : 0,
+                    decision == QuotaDecision::kDeniedLifetime ? 1 : 0,
+                    decision == QuotaDecision::kDeniedRate ? 1 : 0));
+            if (!logged.ok() && decision == QuotaDecision::kCharged) {
+              *denial =
+                  "durable quota ledger append failed: " +
+                  logged.ToString();
+              return false;
+            }
+          }
+          return decision == QuotaDecision::kCharged;
+        });
+  }
+  poller.Adopt(std::move(connection));
+}
+void SocketListener::BeginShutdown() {
+  if (draining_flag_->exchange(true)) return;
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(options_.drain_timeout_ms);
+  acceptor_.reset();
+  listen_fd_.reset();  // Stop accepting; refuse new peers at the OS.
+  for (auto& poller : pollers_) poller->BeginDrain(deadline);
+}
+
+void SocketListener::OnPollerExited() {
+  if (--live_pollers_ > 0) return;
+  if (http_) http_->Detach();
+  busy_linger_->WhenEmpty([this] { loop_->Stop(); });
 }
 
 Result<std::uint64_t> SocketListener::Serve() {
   if (!listen_fd_.valid()) {
     return Status::FailedPrecondition("Serve() before Start()");
   }
-  using Clock = std::chrono::steady_clock;
+  if (options_.shutdown_fd >= 0) {
+    // Level-triggered and deliberately never drained: unwatched after
+    // its first edge so it cannot spin the loop.
+    const int fd = options_.shutdown_fd;
+    DPCUBE_RETURN_NOT_OK(loop_->Watch(fd, EPOLLIN, [this, fd](std::uint32_t) {
+      loop_->Unwatch(fd);
+      BeginShutdown();
+    }));
+  }
+  acceptor_ = std::make_unique<Acceptor>(
+      loop_.get(), listen_fd_.get(),
+      [this](UniqueFd fd) { OnAccepted(std::move(fd)); });
+  if (http_) http_->Attach(loop_.get(), busy_linger_);
 
-  // Spawn the poller fleet. HTTP rides poller 0's loop (and stays
-  // polled through drain, so probes observe the 503 rather than a
-  // refused connection).
-  if (http_) pollers_[0]->AttachHttp(http_.get());
+  live_pollers_ = pollers_.size();
   for (auto& poller : pollers_) {
-    const Status started = poller->Start();
+    const Status started = poller->Start(
+        [this] { loop_->Post([this] { OnPollerExited(); }); });
     if (!started.ok()) {
       // Unwind whatever did start so no thread outlives Serve().
-      const auto now = Clock::now();
       for (auto& p : pollers_) {
-        p->BeginDrain(now);
-        p->RequestStop();
+        p->BeginDrain(std::chrono::steady_clock::now());
         p->Join();
       }
       return started;
     }
   }
+  if (shutdown_requested_.load()) BeginShutdown();
 
-  // The accept loop: the listen fd, the shutdown plumbing, and the
-  // lingering closes of refused (BUSY) peers. Everything admitted lives
-  // on a poller.
-  Status failure = Status::OK();
-  bool draining = false;
-  Clock::time_point drain_deadline;
-  for (;;) {
-    std::vector<struct pollfd> fds;
-    fds.push_back({wake_pipe_->read_end.get(), POLLIN, 0});
-    // The external shutdown fd is level-triggered and deliberately never
-    // drained, so a second readable edge must end the loop, not spin it.
-    const bool poll_shutdown_fd = options_.shutdown_fd >= 0;
-    if (poll_shutdown_fd) {
-      fds.push_back({options_.shutdown_fd, POLLIN, 0});
-    }
-    const bool poll_listener = Clock::now() >= accept_retry_after_;
-    const std::size_t listen_index = fds.size();
-    if (poll_listener) fds.push_back({listen_fd_.get(), POLLIN, 0});
-    busy_linger_->AppendPollFds(&fds);
-
-    const int rc = ::poll(fds.data(), fds.size(), /*timeout_ms=*/100);
-    if (rc < 0 && errno != EINTR) {
-      failure =
-          Status::Internal(std::string("poll: ") + ::strerror(errno));
-      break;
-    }
-
-    if (fds[0].revents & POLLIN) {
-      DrainWakeBytes(wake_pipe_->read_end.get());
-    }
-    bool shutdown_now = shutdown_requested_.load();
-    if (poll_shutdown_fd && (fds[1].revents & POLLIN)) {
-      shutdown_now = true;  // Level-triggered; deliberately not drained.
-    }
-    if (shutdown_now) {
-      draining = true;
-      draining_flag_->store(true, std::memory_order_relaxed);
-      drain_deadline = Clock::now() + std::chrono::milliseconds(
-                                          options_.drain_timeout_ms);
-      listen_fd_.reset();  // Stop accepting; refuse new peers at the OS.
-      for (auto& poller : pollers_) poller->BeginDrain(drain_deadline);
-      break;
-    }
-    if (poll_listener && (fds[listen_index].revents & POLLIN)) {
-      AcceptPending();
-    }
-    if (rc > 0) busy_linger_->DispatchEvents(fds);
-    busy_linger_->PumpTimeouts();
-  }
-
-  if (!failure.ok() && !draining) {
-    // The accept loop died: drain the fleet with an immediate deadline
-    // so no poller thread outlives the error return.
+  const Status ran = loop_->Run();
+  if (!ran.ok()) {
+    // The acceptor loop died: drain the fleet with an immediate
+    // deadline so no poller thread outlives the error return.
     draining_flag_->store(true, std::memory_order_relaxed);
-    const auto now = Clock::now();
-    for (auto& poller : pollers_) poller->BeginDrain(now);
+    for (auto& poller : pollers_) {
+      poller->BeginDrain(std::chrono::steady_clock::now());
+    }
   }
-
-  // Shared drain barrier: every plain poller exits once its connections
-  // are answered, flushed, and linger-closed (or the deadline passes);
-  // the HTTP-carrying poller is released last so probes stay answered
-  // through the whole drain window.
-  for (auto& poller : pollers_) {
-    if (http_ && poller->id() == 0) continue;
-    poller->Join();
-  }
-  pollers_[0]->RequestStop();
-  pollers_[0]->Join();
-  busy_linger_->DrainBlocking();
-  if (!failure.ok()) return failure;
+  for (auto& poller : pollers_) poller->Join();
+  acceptor_.reset();
+  if (http_) http_->Detach();
+  if (!ran.ok()) return ran;
   return next_connection_id_ - 1;
 }
 

@@ -1,15 +1,15 @@
 // Copyright 2026 The dpcube Authors.
 //
-// The TCP front end of `dpcube serve`, split acceptor/poller since the
-// multi-poller refactor:
+// The TCP front end of `dpcube serve`: one acceptor and N pollers, each
+// a thread running its own EventLoop (see event_loop.h).
 //
-//   * Serve()'s thread is the ACCEPTOR: it owns the listen fd, runs
-//     admission (refused peers get a one-frame BUSY goodbye and a
+//   * Serve()'s thread is the ACCEPTOR: its loop owns the listen fd,
+//     runs admission (refused peers get a one-frame BUSY goodbye and a
 //     lingering close), and hands each admitted socket to one of N
-//     event-loop POLLER threads chosen round-robin (`net_threads`,
-//     default min(4, hardware threads)).
+//     POLLER threads chosen round-robin (`net_threads`, default
+//     min(4, hardware threads)).
 //   * Each Connection is pinned to its poller for life: the poller owns
-//     its wake pipe, its connections map, and its poll loop (see
+//     its loop, its connections map, and its linger set (see
 //     poller.h), so no connection state is ever shared between network
 //     threads. All query execution still happens on the ServeContext's
 //     ThreadPool; no network thread ever computes.
@@ -19,15 +19,16 @@
 // sessions, span/per-verb/per-release latency from each connection's
 // published request traces, callback gauges over admission/cache/pool
 // state and the per-poller connection counts, a /proc resource tracker)
-// and — when
-// http_listen_address is set — an HttpEndpoint spliced into poller 0's
-// loop serving /metrics, /healthz, and /statusz. HTTP stays polled
-// during drain so probes see the 503 instead of a refused connection.
+// and — when http_listen_address is set — an HttpEndpoint on the
+// acceptor's loop serving /metrics, /healthz, /statusz, and /tracez.
 //
 // Shutdown is graceful: stop accepting, broadcast BeginDrain to every
 // poller, let every admitted request finish and flush (bounded by
-// drain_timeout_ms), then join the pollers — Serve() returns only after
-// every poller thread has exited and every lingering close resolved.
+// drain_timeout_ms). Each poller posts its exit back to the acceptor's
+// loop, which keeps serving HTTP until the last one has — so /healthz
+// answers 503 for the whole drain window instead of refusing the
+// connection — and then runs until its own lingering closes resolve.
+// Serve() returns only after every poller thread has exited.
 
 #ifndef DPCUBE_NET_SOCKET_LISTENER_H_
 #define DPCUBE_NET_SOCKET_LISTENER_H_
@@ -43,7 +44,9 @@
 #include "common/metrics.h"
 #include "common/status.h"
 #include "net/admission.h"
+#include "net/address.h"
 #include "net/connection.h"
+#include "net/event_loop.h"
 #include "net/http_endpoint.h"
 #include "net/linger.h"
 #include "net/poller.h"
@@ -79,7 +82,7 @@ struct ServerOptions {
   /// Per-frame payload cap handed to each connection's decoder.
   std::size_t max_frame_payload = std::size_t{1} << 20;
   /// When set (>= 0), Serve() also exits once this fd becomes readable
-  /// (level-triggered; the fd is polled, never read or closed).
+  /// (watched until that first edge; never read or closed).
   int shutdown_fd = -1;
   /// Grace period for in-flight work at shutdown.
   int drain_timeout_ms = 10000;
@@ -117,7 +120,8 @@ class SocketListener {
   /// exactly one thread, after Start().
   Result<std::uint64_t> Serve();
 
-  /// Thread-safe graceful-shutdown request (no-op before Serve()).
+  /// Thread-safe graceful-shutdown request; one made before Serve()
+  /// takes effect as soon as it starts.
   void Shutdown();
 
   std::uint16_t bound_port() const { return bound_port_; }
@@ -150,10 +154,16 @@ class SocketListener {
   }
 
  private:
-  /// Accepts until EAGAIN; each accept passes admission (and is handed
-  /// to the next poller round-robin) or gets a one-frame BUSY goodbye
-  /// and a lingering close.
-  void AcceptPending();
+  /// Each accepted socket passes admission (and is handed to the next
+  /// poller round-robin) or gets a one-frame BUSY goodbye and a
+  /// lingering close. Acceptor loop.
+  void OnAccepted(UniqueFd fd);
+  /// Stops accepting and broadcasts the drain. Acceptor loop;
+  /// idempotent.
+  void BeginShutdown();
+  /// A poller's exit, posted to the acceptor loop. After the last one,
+  /// HTTP stops and the loop ends once the BUSY lingers resolve.
+  void OnPollerExited();
   /// Registers every listener-level metric family (the trace-fed
   /// latency families and frame counters, admission gauges,
   /// cache/pool/store stats, per-poller connection gauges, resource
@@ -176,6 +186,9 @@ class SocketListener {
   /// still bump its counters safely.
   std::shared_ptr<const service::SessionMetrics> session_metrics_;
   std::shared_ptr<metrics::ResourceTracker> resource_tracker_;
+  /// The acceptor's loop (created by Start(), run by Serve()). Declared
+  /// before everything attached to it, so it is destroyed last.
+  std::shared_ptr<EventLoop> loop_;
   std::unique_ptr<HttpEndpoint> http_;
   /// Set when drain begins; /healthz flips to 503 on it. shared_ptr so
   /// the health handler outlives nothing it doesn't own.
@@ -185,19 +198,17 @@ class SocketListener {
   /// can register over them), threads spawned by Serve().
   std::vector<std::unique_ptr<Poller>> pollers_;
   std::size_t next_poller_ = 0;  ///< Round-robin cursor.
-  /// Lingering closes for refused (BUSY) accepts, polled by the accept
-  /// loop itself — these sockets never become Connections.
+  /// Lingering closes for refused (BUSY) accepts and answered HTTP
+  /// requests, on the acceptor's loop — these sockets never become
+  /// Connections.
   std::shared_ptr<LingerSet> busy_linger_;
-  std::shared_ptr<Pipe> wake_pipe_;  ///< Interrupts the accept loop.
   UniqueFd listen_fd_;
   std::uint16_t bound_port_ = 0;
   std::string host_;
   std::atomic<bool> shutdown_requested_{false};
-  /// After accept() fails on resource exhaustion (EMFILE/ENFILE/...),
-  /// the listen fd is left out of the poll set until this instant —
-  /// a level-triggered readable listener we cannot accept from would
-  /// otherwise busy-spin the loop at 100% CPU.
-  std::chrono::steady_clock::time_point accept_retry_after_{};
+  // Acceptor-loop state.
+  std::unique_ptr<Acceptor> acceptor_;
+  std::size_t live_pollers_ = 0;
   std::uint64_t next_connection_id_ = 1;
 };
 

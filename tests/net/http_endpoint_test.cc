@@ -4,7 +4,7 @@
 // validity of /metrics (every family typed exactly once, no duplicate
 // samples, >= 12 families), the series-count budget of one served
 // release, /healthz flipping to 503 during drain,
-// hostile/partial HTTP never stalling the poll loop, and a rate-quota
+// hostile/partial HTTP never stalling the event loop, and a rate-quota
 // denial visible — with the same value — in both STATS and /metrics.
 
 #include <sys/socket.h>

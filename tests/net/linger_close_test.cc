@@ -15,13 +15,16 @@
 //   * The HTTP endpoint: an early answer (431) to a request the peer is
 //     still sending survives, and accept backs off instead of spinning
 //     when accept(2) fails on resource exhaustion.
+//
+// The LingerSet and standalone-endpoint cases drive a real EventLoop,
+// exactly as the pollers and the acceptor do.
 
 #include <errno.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -37,6 +40,7 @@
 #include "engine/release_io.h"
 #include "net/address.h"
 #include "net/client.h"
+#include "net/event_loop.h"
 #include "net/framing.h"
 #include "net/http_endpoint.h"
 #include "net/linger.h"
@@ -151,6 +155,19 @@ bool DrainToCleanEof(int fd) {
   }
 }
 
+std::shared_ptr<EventLoop> NewLoop() {
+  auto loop = EventLoop::Create();
+  EXPECT_TRUE(loop.ok()) << loop.status();
+  return loop.ok() ? std::move(loop).value() : nullptr;
+}
+
+// Runs `loop` on this thread until `linger` is empty (what a poller's
+// loop does on its way out).
+void RunUntilEmpty(EventLoop* loop, LingerSet* linger) {
+  linger->WhenEmpty([loop] { loop->Stop(); });
+  EXPECT_TRUE(loop->Run().ok());
+}
+
 TEST(LingerSetTest, PeerAlreadyFinishedClosesImmediately) {
   int sv[2] = {-1, -1};
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
@@ -158,7 +175,7 @@ TEST(LingerSetTest, PeerAlreadyFinishedClosesImmediately) {
   UniqueFd theirs(sv[1]);
   theirs.reset();  // Peer fully closed: recv on ours returns 0 at once.
 
-  LingerSet linger;
+  LingerSet linger(NewLoop());
   linger.Add(std::move(ours));
   EXPECT_TRUE(linger.empty());  // Resolved inline, never registered.
 }
@@ -170,14 +187,15 @@ TEST(LingerSetTest, ResolvesWhenThePeerFins) {
   UniqueFd theirs(sv[1]);
   ASSERT_TRUE(SetNonBlocking(ours.get()).ok());
 
-  LingerSet linger;
+  auto loop = NewLoop();
+  LingerSet linger(loop);
   linger.Add(std::move(ours));
   ASSERT_EQ(linger.size(), 1u);
 
   // The peer sends a straggler (must be drained, not RST'd) then FINs.
   ASSERT_EQ(::send(theirs.get(), "tail", 4, MSG_NOSIGNAL), 4);
   theirs.reset();
-  linger.DrainBlocking();
+  RunUntilEmpty(loop.get(), &linger);
   EXPECT_TRUE(linger.empty());
 }
 
@@ -188,11 +206,13 @@ TEST(LingerSetTest, TimeoutBoundsAPeerThatNeverCloses) {
   UniqueFd theirs(sv[1]);
   ASSERT_TRUE(SetNonBlocking(ours.get()).ok());
 
-  LingerSet linger(std::chrono::milliseconds(50));
+  auto loop = NewLoop();
+  LingerSet linger(loop, std::chrono::milliseconds(50));
   linger.Add(std::move(ours));
   ASSERT_EQ(linger.size(), 1u);
   const auto start = std::chrono::steady_clock::now();
-  linger.DrainBlocking();  // `theirs` stays open: only the timeout ends it.
+  // `theirs` stays open: only the timeout ends it.
+  RunUntilEmpty(loop.get(), &linger);
   EXPECT_TRUE(linger.empty());
   EXPECT_LT(std::chrono::steady_clock::now() - start,
             std::chrono::seconds(5));
@@ -265,21 +285,60 @@ TEST(LingerCloseTest, QuitGoodbyeSurvivesFramesPipelinedPastIt) {
   }
 }
 
-// Drives a standalone HttpEndpoint's poll splice the way a poller
-// would: append, poll, dispatch, pump.
-void PumpEndpoint(HttpEndpoint* endpoint) {
-  std::vector<struct pollfd> fds;
-  endpoint->AppendPollFds(&fds);
-  if (!fds.empty()) {
-    (void)::poll(fds.data(), static_cast<nfds_t>(fds.size()), 50);
+// Serves a standalone HttpEndpoint on its own reactor thread, the way
+// the acceptor's loop carries it in the server (with a linger set on
+// the same loop). Test-side reads of loop state go through On(), which
+// runs the query on the loop thread.
+class ServedEndpoint {
+ public:
+  explicit ServedEndpoint(HttpEndpoint* endpoint)
+      : endpoint_(endpoint),
+        loop_(NewLoop()),
+        linger_(std::make_shared<LingerSet>(loop_)) {
+    endpoint_->Attach(loop_.get(), linger_);  // Before Run: any thread.
+    thread_ = std::thread([this] { EXPECT_TRUE(loop_->Run().ok()); });
   }
-  endpoint->DispatchEvents(fds);
-  endpoint->PumpTimeouts();
-}
+
+  ~ServedEndpoint() {
+    loop_->Stop();
+    thread_.join();
+    endpoint_->Detach();
+  }
+
+  template <typename F>
+  auto On(F query) -> decltype(query()) {
+    std::promise<decltype(query())> result;
+    loop_->Post([&] { result.set_value(query()); });
+    return result.get_future().get();
+  }
+
+  std::size_t lingering() {
+    return On([this] { return linger_->size(); });
+  }
+  std::size_t connections() {
+    return On([this] { return endpoint_->connection_count(); });
+  }
+  bool accepting() {
+    return On([this] { return endpoint_->accepting(); });
+  }
+  void BackOffAccept(std::chrono::milliseconds window) {
+    On([this, window] {
+      endpoint_->BackOffAcceptForTests(window);
+      return true;
+    });
+  }
+
+ private:
+  HttpEndpoint* const endpoint_;
+  std::shared_ptr<EventLoop> loop_;
+  std::shared_ptr<LingerSet> linger_;
+  std::thread thread_;
+};
 
 TEST(LingerCloseTest, HttpEarlyAnswerSurvivesAnUnfinishedRequest) {
   HttpEndpoint endpoint("127.0.0.1:0");
   ASSERT_TRUE(endpoint.Start().ok());
+  ServedEndpoint served(&endpoint);
 
   // A request larger than the endpoint buffers: the 431 goes out while
   // the tail of the request sits unread in the server's receive queue.
@@ -292,27 +351,21 @@ TEST(LingerCloseTest, HttpEarlyAnswerSurvivesAnUnfinishedRequest) {
                    MSG_NOSIGNAL),
             static_cast<ssize_t>(huge.size()));
 
-  // Pump until the response has been flushed and the fd handed to the
+  // Wait until the response has been flushed and the fd handed to the
   // linger set (response written, connection slot released).
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (endpoint.lingering_count() == 0 &&
+  while (served.lingering() == 0 &&
          std::chrono::steady_clock::now() < deadline) {
-    PumpEndpoint(&endpoint);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  EXPECT_EQ(endpoint.lingering_count(), 1u);
-  EXPECT_EQ(endpoint.connection_count(), 0u);
+  EXPECT_EQ(served.lingering(), 1u);
+  EXPECT_EQ(served.connections(), 0u);
 
   // The full 431 is readable despite the unread request tail, ending in
   // a FIN (clean EOF), not an RST.
   std::string response;
   char buf[4096];
-  std::thread pump([&] {
-    while (endpoint.lingering_count() > 0 &&
-           std::chrono::steady_clock::now() < deadline) {
-      PumpEndpoint(&endpoint);
-    }
-  });
   for (;;) {
     const ssize_t n = ::recv(fd.value().get(), buf, sizeof(buf), 0);
     if (n < 0 && errno == EINTR) continue;
@@ -321,57 +374,111 @@ TEST(LingerCloseTest, HttpEarlyAnswerSurvivesAnUnfinishedRequest) {
     response.append(buf, static_cast<std::size_t>(n));
   }
   fd.value().reset();  // Our FIN lets the linger entry resolve.
-  pump.join();
+  while (served.lingering() > 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
   EXPECT_EQ(response.rfind("HTTP/1.0 431", 0), 0u) << response;
-  EXPECT_EQ(endpoint.lingering_count(), 0u);
+  EXPECT_EQ(served.lingering(), 0u);
 }
 
-TEST(LingerCloseTest, HttpAcceptBackoffKeepsTheListenerOutOfThePollSet) {
+TEST(LingerCloseTest, HttpAcceptBackoffKeepsTheListenerOutOfTheWatchSet) {
   HttpEndpoint endpoint("127.0.0.1:0");
-  ASSERT_TRUE(endpoint.Start().ok());
-
-  // Baseline: the listener is polled.
-  std::vector<struct pollfd> fds;
-  endpoint.AppendPollFds(&fds);
-  ASSERT_EQ(fds.size(), 1u);
-
-  // Inside the backoff window (as set after an EMFILE-family accept
-  // failure), the listener is withheld — a level-triggered readable
-  // listener that cannot be accepted from would busy-spin the loop.
-  endpoint.set_accept_retry_after_for_tests(
-      std::chrono::steady_clock::now() + std::chrono::hours(1));
-  fds.clear();
-  endpoint.AppendPollFds(&fds);
-  EXPECT_TRUE(fds.empty());
-  endpoint.DispatchEvents(fds);  // A no-op cycle must be harmless.
-
-  // Once the window passes, accepting resumes and requests are served.
-  endpoint.set_accept_retry_after_for_tests(
-      std::chrono::steady_clock::now() - std::chrono::seconds(1));
-  fds.clear();
-  endpoint.AppendPollFds(&fds);
-  EXPECT_EQ(fds.size(), 1u);
-
   endpoint.AddRoute("/ping", [](const HttpRequest&) {
     return HttpResponse{200, "text/plain; charset=utf-8", "pong\n"};
   });
+  ASSERT_TRUE(endpoint.Start().ok());
+  ServedEndpoint served(&endpoint);
+
+  // Baseline: the listener is watched.
+  ASSERT_TRUE(served.accepting());
+
+  // Inside the backoff window (as set after an EMFILE-family accept
+  // failure), the listener is withheld — a level-triggered readable
+  // listener that cannot be accepted from would busy-spin the loop — and
+  // a pending connect is not accepted while the loop keeps running.
+  served.BackOffAccept(std::chrono::hours(1));
+  EXPECT_FALSE(served.accepting());
   auto fd = ConnectTcp("127.0.0.1", endpoint.bound_port());
   ASSERT_TRUE(fd.ok());
   const std::string request = "GET /ping HTTP/1.0\r\n\r\n";
   ASSERT_EQ(::send(fd.value().get(), request.data(), request.size(),
                    MSG_NOSIGNAL),
             static_cast<ssize_t>(request.size()));
-  std::string response;
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_EQ(served.connections(), 0u);
+  EXPECT_FALSE(served.accepting());
   char buf[4096];
+  EXPECT_LT(::recv(fd.value().get(), buf, sizeof(buf), MSG_DONTWAIT), 0);
+
+  // Once the window passes, accepting resumes and requests are served.
+  served.BackOffAccept(std::chrono::milliseconds(0));
+  std::string response;
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (std::chrono::steady_clock::now() < deadline) {
-    PumpEndpoint(&endpoint);
     const ssize_t n =
         ::recv(fd.value().get(), buf, sizeof(buf), MSG_DONTWAIT);
     if (n > 0) response.append(buf, static_cast<std::size_t>(n));
     if (n == 0) break;
     if (response.find("pong") != std::string::npos) break;
+    if (n < 0) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_TRUE(served.accepting());
+  EXPECT_EQ(response.rfind("HTTP/1.0 200", 0), 0u) << response;
+}
+
+TEST(LingerCloseTest, HttpConnectionCapKeepsTheListenerOutOfTheWatchSet) {
+  HttpEndpoint endpoint("127.0.0.1:0");
+  endpoint.AddRoute("/ping", [](const HttpRequest&) {
+    return HttpResponse{200, "text/plain; charset=utf-8", "pong\n"};
+  });
+  ASSERT_TRUE(endpoint.Start().ok());
+  ServedEndpoint served(&endpoint);
+  const auto cap = static_cast<std::size_t>(HttpEndpoint::kMaxConnections);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+
+  // Silent peers fill every slot: the listener leaves the watch set.
+  // They connect in batches that fit the listen backlog, so no
+  // handshake waits out a SYN-ACK retransmit.
+  std::vector<UniqueFd> silent;
+  while (silent.size() < cap) {
+    for (int i = 0; i < 8 && silent.size() < cap; ++i) {
+      auto fd = ConnectTcp("127.0.0.1", endpoint.bound_port());
+      ASSERT_TRUE(fd.ok());
+      silent.push_back(std::move(fd).value());
+    }
+    while (served.connections() < silent.size() &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  EXPECT_EQ(served.connections(), cap);
+  EXPECT_FALSE(served.accepting());
+
+  // One more peer waits in the backlog, unanswered, while at the cap.
+  auto extra = ConnectTcp("127.0.0.1", endpoint.bound_port());
+  ASSERT_TRUE(extra.ok());
+  const std::string request = "GET /ping HTTP/1.0\r\n\r\n";
+  ASSERT_EQ(::send(extra.value().get(), request.data(), request.size(),
+                   MSG_NOSIGNAL),
+            static_cast<ssize_t>(request.size()));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_EQ(served.connections(), cap);
+  char buf[4096];
+  EXPECT_LT(::recv(extra.value().get(), buf, sizeof(buf), MSG_DONTWAIT), 0);
+
+  // A silent peer leaves: its slot frees, the listener is watched
+  // again, and the waiting request is served.
+  silent.pop_back();
+  std::string response;
+  while (std::chrono::steady_clock::now() < deadline) {
+    const ssize_t n =
+        ::recv(extra.value().get(), buf, sizeof(buf), MSG_DONTWAIT);
+    if (n > 0) response.append(buf, static_cast<std::size_t>(n));
+    if (n == 0 || response.find("pong") != std::string::npos) break;
+    if (n < 0) std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   EXPECT_EQ(response.rfind("HTTP/1.0 200", 0), 0u) << response;
 }

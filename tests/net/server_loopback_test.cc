@@ -392,7 +392,7 @@ TEST(ServerLoopbackTest, ShutdownDrainsInFlightWorkBeforeClosing) {
   ASSERT_TRUE(client.value().CallLines("list").ok());
 
   ASSERT_TRUE(client.value().Send("query demo marginal 0x9").ok());
-  // Give the poll loop time to read and admit the frame, then drain.
+  // Give the poller time to read and admit the frame, then drain.
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   server.listener().Shutdown();
 
