@@ -60,4 +60,17 @@ bool WriteWakeByte(int fd) {
   }
 }
 
+bool WriteAll(int fd, const char* data, std::size_t size) {
+  std::size_t done = 0;
+  while (done < size) {
+    const ssize_t n = ::write(fd, data + done, size - done);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    done += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
 }  // namespace dpcube

@@ -1,7 +1,8 @@
 // Copyright 2026 The dpcube Authors.
 //
 // RAII ownership of POSIX file descriptors, shared by the network
-// subsystem (sockets) and the CLI's signal plumbing. A
+// subsystem (sockets), the CLI's signal plumbing, the WAL and the text
+// file codec. A
 // UniqueFd is to `int fd` what unique_ptr is to a raw pointer: move-only,
 // closes on destruction, and makes every ownership transfer explicit —
 // the historical fd bugs (double close, leak on early return, close of a
@@ -11,6 +12,7 @@
 #ifndef DPCUBE_COMMON_FD_H_
 #define DPCUBE_COMMON_FD_H_
 
+#include <cstddef>
 #include <utility>
 
 #include "common/status.h"
@@ -64,6 +66,10 @@ Status SetNonBlocking(int fd);
 /// pending wakeup). Async-signal-safe. Returns false only on a real
 /// error.
 bool WriteWakeByte(int fd);
+
+/// Writes all `size` bytes to a blocking `fd`, retrying short writes and
+/// EINTR. Returns false on the first real error, with errno set.
+bool WriteAll(int fd, const char* data, std::size_t size);
 
 }  // namespace dpcube
 

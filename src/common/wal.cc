@@ -80,19 +80,6 @@ std::uint32_t RecordCrc(std::uint64_t lsn, std::string_view payload) {
   return ~crc;
 }
 
-bool WriteAll(int fd, const char* data, std::size_t size) {
-  std::size_t done = 0;
-  while (done < size) {
-    ssize_t n = ::write(fd, data + done, size - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    done += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
 }  // namespace
 
 std::uint32_t Crc32(const void* data, std::size_t size) {

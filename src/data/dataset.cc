@@ -2,8 +2,10 @@
 
 #include "data/dataset.h"
 
-#include <fstream>
-#include <sstream>
+#include <cstring>
+#include <string_view>
+
+#include "common/text_file.h"
 
 namespace dpcube {
 namespace data {
@@ -49,56 +51,77 @@ std::vector<std::uint32_t> DecodeCell(const Schema& schema, bits::Mask cell) {
 }
 
 Status WriteCsv(const Dataset& dataset, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return Status::NotFound("cannot open '" + path + "' for writing");
+  auto opened = text::FileWriter::Create(path);
+  if (!opened.ok()) return opened.status();
+  text::FileWriter& out = opened.value();
   const Schema& schema = dataset.schema();
   for (std::size_t a = 0; a < schema.num_attributes(); ++a) {
-    out << (a ? "," : "") << schema.attribute(a).name;
+    if (a) out.AppendChar(',');
+    out.Append(schema.attribute(a).name);
   }
-  out << "\n";
+  out.AppendChar('\n');
   for (std::size_t r = 0; r < dataset.num_rows(); ++r) {
     for (std::size_t a = 0; a < schema.num_attributes(); ++a) {
-      out << (a ? "," : "") << dataset.At(r, a);
+      if (a) out.AppendChar(',');
+      out.AppendUint(dataset.At(r, a));
     }
-    out << "\n";
+    out.AppendChar('\n');
   }
-  if (!out) return Status::Internal("write to '" + path + "' failed");
-  return Status::OK();
+  return out.Close();
 }
 
 Result<Dataset> ReadCsv(const Schema& schema, const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::NotFound("cannot open '" + path + "'");
-  Dataset dataset(schema);
-  std::string line;
-  if (!std::getline(in, line)) {
+  auto opened = text::LineReader::Open(path);
+  if (!opened.ok()) return opened.status();
+  text::LineReader& in = opened.value();
+  std::string_view line;
+  if (!in.Next(&line)) {
+    DPCUBE_RETURN_NOT_OK(in.status());
     return Status::InvalidArgument("'" + path + "': missing header");
   }
-  std::size_t line_no = 1;
-  while (std::getline(in, line)) {
-    ++line_no;
+  const std::size_t width = schema.num_attributes();
+  auto line_error = [&](const std::string& what) {
+    return Status::InvalidArgument("'" + path + "' line " +
+                                   std::to_string(in.line_number()) + ": " +
+                                   what);
+  };
+  Dataset dataset(schema);
+  std::vector<std::uint32_t>& values = dataset.values_;
+  // Every value takes at least two bytes of the file (a digit and a ','
+  // or newline), so this never reallocates.
+  values.reserve(static_cast<std::size_t>(in.file_size() / 2));
+  while (in.Next(&line)) {
     if (line.empty()) continue;
-    std::vector<std::uint32_t> row;
-    row.reserve(schema.num_attributes());
-    std::stringstream ss(line);
-    std::string field;
-    while (std::getline(ss, field, ',')) {
-      try {
-        const unsigned long value = std::stoul(field);
-        row.push_back(static_cast<std::uint32_t>(value));
-      } catch (const std::exception&) {
-        return Status::InvalidArgument("'" + path + "' line " +
-                                       std::to_string(line_no) +
-                                       ": non-integer field '" + field + "'");
+    if (width == 0) return line_error("row width does not match schema");
+    const char* field = line.data();
+    const char* const end = field + line.size();
+    for (std::size_t a = 0; a < width; ++a) {
+      const bool last = a + 1 == width;
+      const char* comma = static_cast<const char*>(
+          std::memchr(field, ',', static_cast<std::size_t>(end - field)));
+      if ((comma == nullptr) != last) {
+        return line_error("row width does not match schema");
       }
-    }
-    Status st = dataset.AppendRow(row);
-    if (!st.ok()) {
-      return Status::InvalidArgument("'" + path + "' line " +
-                                     std::to_string(line_no) + ": " +
-                                     st.message());
+      const std::string_view token(
+          field, static_cast<std::size_t>((last ? end : comma) - field));
+      std::uint32_t value = 0;
+      const bool parsed = text::ParseUint(token, &value);
+      if (!parsed || value >= schema.attribute(a).cardinality) {
+        const bool digits =
+            !token.empty() && token.find_first_not_of("0123456789") ==
+                                  std::string_view::npos;
+        if (!parsed && !digits) {
+          return line_error("non-integer field '" + std::string(token) + "'");
+        }
+        return line_error("value " + std::string(token) +
+                          " out of range for attribute '" +
+                          schema.attribute(a).name + "'");
+      }
+      values.push_back(value);
+      if (!last) field = comma + 1;
     }
   }
+  DPCUBE_RETURN_NOT_OK(in.status());
   return dataset;
 }
 

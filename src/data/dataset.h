@@ -46,6 +46,9 @@ class Dataset {
   std::vector<bits::Mask> EncodeAll() const;
 
  private:
+  // Validates and appends straight into values_.
+  friend Result<Dataset> ReadCsv(const Schema& schema, const std::string& path);
+
   Schema schema_;
   std::vector<std::uint32_t> values_;  // Row-major.
 };
@@ -60,7 +63,11 @@ std::vector<std::uint32_t> DecodeCell(const Schema& schema, bits::Mask cell);
 Status WriteCsv(const Dataset& dataset, const std::string& path);
 
 /// Reads a CSV produced by WriteCsv (or hand-authored with the same layout)
-/// against the given schema; validates width and value ranges.
+/// against the given schema. The first line is a header and is skipped;
+/// every other non-blank line holds exactly one field per attribute, each
+/// a plain decimal integer below the attribute's cardinality (no sign,
+/// space or other byte). Lines may end in "\n" or "\r\n". An error names
+/// the path and the line.
 Result<Dataset> ReadCsv(const Schema& schema, const std::string& path);
 
 }  // namespace data

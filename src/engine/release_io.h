@@ -42,7 +42,11 @@ Status WriteReleaseCsv(const std::string& path,
 /// Reads a release written by WriteReleaseCsv. The reconstructed workload
 /// preserves the file's marginal order. `cell_variances` is empty when
 /// the file predates the variance header; `has_build_timings` is false
-/// when it predates the build-seconds header.
+/// when it predates the build-seconds header. The file is rejected, with
+/// its path and the record's line, unless 0 <= d <= 63, every mask lies
+/// inside the d-bit domain, each mask's records are contiguous, each of
+/// its cells appears exactly once (in any order), and every variance
+/// token parses, one per marginal.
 struct LoadedRelease {
   marginal::Workload workload{0, {}};
   std::vector<marginal::MarginalTable> marginals;
